@@ -91,6 +91,11 @@ step "reliable wire: overlap win must survive 1% frame loss (ablation_wire)"
 # was declared dead.
 "$build/bench/ablation_wire"
 
+step "benchmark: perfbench self-tests (perfbench/selftest.py)"
+# The benchmark's own statistics, oracle and metric plumbing; builds its
+# binary into perfbench's .bench_build/ (about a minute).
+(cd "$repo" && python3 perfbench/selftest.py)
+
 step "fusion: fused must beat unfused, tiled must beat fused (ablation_fusion)"
 # Unfused / fused / fused+tiled over a DRAM-resident direct chain; all
 # three arms must produce bit-identical checksums, and each schedule
@@ -106,11 +111,15 @@ export TSAN_OPTIONS
 cmake -S "$repo" -B "$tsan_build" -DOP2_SANITIZE=thread
 cmake --build "$tsan_build" -j "$jobs" --target backend_smoke
 
-step "thread sanitizer: reduction-merge contention (shared-global finalise)"
-# Lost-update stress cannot bite on a single-CPU host; TSan detects the
-# unsynchronised final combine deterministically regardless of core count.
+step "thread sanitizer: the whole op2 launch-path suite (test_op2)"
+# Every test of the capture/replay core under TSan: prepared and
+# fused-site replays, async overlap of one call site with itself, the
+# dataflow node bodies, and the reduction-merge contention tests (lost-
+# update stress cannot bite on a single-CPU host; TSan detects an
+# unsynchronised final combine deterministically regardless of core
+# count).
 cmake --build "$tsan_build" -j "$jobs" --target test_op2
-"$tsan_build/tests/test_op2" --gtest_filter='PreparedContention.*'
+"$tsan_build/tests/test_op2"
 
 step "thread sanitizer: cancellation racing completion (CancelStress)"
 # The stop-token fast paths are relaxed atomics by design; TSan checks
@@ -141,12 +150,12 @@ step "thread sanitizer: reliable wire protocol (WireStress)"
 cmake --build "$tsan_build" -j "$jobs" --target test_wire
 "$tsan_build/tests/test_wire" --gtest_filter='WireStress.*'
 
-step "thread sanitizer: concurrent fused replays (FusedStress)"
-# Several threads replaying through ONE shared fused_handle (the site
-# cache's find/CAS/busy paths) plus fused dataflow nodes racing on the
-# worker pool — the fused launch path's locking under TSan.
+step "thread sanitizer: the whole fusion suite (test_fusion)"
+# Every fusion test under TSan, including several threads replaying
+# through ONE shared handle (the site cache's find/CAS/busy paths) and
+# fused dataflow nodes racing on the worker pool.
 cmake --build "$tsan_build" -j "$jobs" --target test_fusion
-"$tsan_build/tests/test_fusion" --gtest_filter='FusedStress.*'
+"$tsan_build/tests/test_fusion"
 
 step "thread sanitizer: operation-state continuation core (OpState)"
 # The pooled op-state path moves completion hand-off onto intrusive

@@ -19,7 +19,9 @@
 // application driver thread; the launched loops execute concurrently.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -127,29 +129,81 @@ op_arg_df<T> op_arg_gbl1(T* data, int dim, access acc) {
   return {op_arg_gbl<T>(data, dim, acc), nullptr};
 }
 
-/// Modified-API op_par_loop: schedules the loop as a dataflow node and
-/// returns a shared future for its completion.  Never blocks; the loop
+namespace detail {
+
+/// One loop of a dataflow node, built by the op_arg_df overload of
+/// op2::fuse_loop below (or by the unfused op_par_loop).
+template <typename Kernel, typename... T>
+struct loop_member_df {
+  const char* name;
+  Kernel kernel;
+  std::tuple<op_arg_df<T>...> args;
+};
+
+template <typename M>
+struct is_fused_member_df : std::false_type {};
+
+template <typename Kernel, typename... T>
+struct is_fused_member_df<loop_member_df<Kernel, T...>> : std::true_type {};
+
+/// The plain loop_member behind a dataflow member (futures stripped;
+/// the node body runs the classic launch).
+template <typename Kernel, typename... T>
+loop_member<Kernel, T...> strip_df(const loop_member_df<Kernel, T...>& m) {
+  return std::apply(
+      [&](const auto&... a) {
+        return loop_member<Kernel, T...>{m.name, m.kernel,
+                                         std::make_tuple(a.arg...)};
+      },
+      m.args);
+}
+
+template <typename MDF>
+using stripped_t = decltype(strip_df(std::declval<const MDF&>()));
+
+/// A copy of `m` named by `name`.
+template <typename M>
+M with_name(M m, const std::string& name) {
+  m.name = name.c_str();
+  return m;
+}
+
+/// Schedules the members as ONE dataflow node running an Entry launch
+/// (one loop, or a fused group) and returns the shared future of its
+/// completion.  Never blocks; the
 /// dependency tree is derived from the argument futures.
 ///
-/// Validation runs here, synchronously — a malformed loop throws at the
-/// call site exactly like the classic API.  The launch descriptor,
-/// however, is captured (or replayed) only when the node *fires*: by
-/// then every upstream writer has completed, so the prepared-loop
-/// machinery observes current dat versions and can rebind the global
-/// reduction target this iteration passes (the driver rotates
-/// &rms[slot] per invocation) while still reusing the cached frame,
-/// plan and reduction scratch across iterations.
-template <typename Kernel, typename... T>
-hpxlite::shared_future<void> op_par_loop(Kernel kernel, const char* name,
-                                         const op_set& set,
-                                         op_arg_df<T>... args) {
-  {
-    auto probe = std::make_tuple(args.arg...);
-    detail::validate_args(name, set, probe);
+/// Validation runs here, synchronously — a malformed loop (or an
+/// illegal fused member list) throws at the call site exactly like the
+/// classic API.  The launch descriptor, however, is captured (or
+/// replayed) only when the node *fires*: by then every upstream writer
+/// has completed, so the capture/replay core observes current dat
+/// versions and can rebind the global reduction target this iteration
+/// passes (the driver rotates &rms[slot] per invocation) while still
+/// reusing the cached frame, plan and reduction scratch across
+/// iterations.
+template <typename Entry, typename... MDF>
+hpxlite::shared_future<void> dataflow_node(
+    std::shared_ptr<launch_cache<Entry>> cache, const op_set& set,
+    const MDF&... members) {
+  const auto validate = [&set](const auto& m) {
+    std::apply(
+        [&](const auto&... a) {
+          auto probe = std::make_tuple(a.arg...);
+          validate_args(m.name, set, probe);
+        },
+        m.args);
+  };
+  (validate(members), ...);
+  if constexpr (Entry::frame_type::fused) {
+    validate_fusable(set, strip_df(members)...);
   }
-  // Collect dependency futures per the chaining rules.
+
+  // Dependency collection per the chaining rules, over the union of the
+  // members' arguments.  A dat used by several arguments installs once;
+  // written-anywhere wins over read-only.
   std::vector<hpxlite::shared_future<void>> deps;
-  std::vector<std::pair<std::shared_ptr<detail::df_sync>, bool>> installs;
+  std::vector<std::pair<std::shared_ptr<df_sync>, bool>> installs;
   const auto collect = [&](const auto& a) {
     if (!a.sync) {
       return;
@@ -159,9 +213,16 @@ hpxlite::shared_future<void> op_par_loop(Kernel kernel, const char* name,
       deps.insert(deps.end(), a.sync->reads_since_write.begin(),
                   a.sync->reads_since_write.end());
     }
+    for (auto& [sync, is_writer] : installs) {
+      if (sync == a.sync) {
+        is_writer = is_writer || writes(a.arg.acc);
+        return;
+      }
+    }
     installs.emplace_back(a.sync, writes(a.arg.acc));
   };
-  (collect(args), ...);
+  (std::apply([&](const auto&... a) { (collect(a), ...); }, members.args),
+   ...);
 
   // Bounded in-flight window (OP2_DATAFLOW_WINDOW): admission of this
   // node blocks the driver until fewer than the configured number of
@@ -169,26 +230,28 @@ hpxlite::shared_future<void> op_par_loop(Kernel kernel, const char* name,
   // dependency tree up front.  The ticket's slot is freed the instant
   // the node resolves (success, error or cancellation) — or when the
   // node is dropped without ever running.
-  auto ticket = detail::acquire_dataflow_ticket();
+  auto ticket = acquire_dataflow_ticket();
 
   // The node body is the paper's Fig 13: for_each(par) inside dataflow.
   // The synchronous hpx_foreach executor runs the colour sweep; the
   // dataflow gating above already provides the asynchrony.  Capturing
-  // the args by value keeps the dats alive until the node runs; the
-  // shared site cache carries the prepared descriptor across nodes.
+  // the stripped members by value keeps the dats alive until the node
+  // runs (never the df_sync records: they will hold this node's future,
+  // and that cycle would keep both alive forever); the names are copied
+  // because the caller's strings may not outlive the node.  The cache
+  // carries the prepared descriptor across nodes.
   // The submitting thread's failure policy and tenant identity are
-  // captured here and re-established inside the body: the node fires
-  // on a pool worker, which carries neither thread-local mark.
-  auto cache = detail::site_cache<Kernel, T...>();
+  // captured here and re-established inside the body: the node fires on
+  // a pool worker, which carries neither thread-local mark.
   hpxlite::future<void> gate = hpxlite::when_all(deps);
   hpxlite::future<void> done = hpxlite::dataflow(
       hpxlite::launch::async,
-      [cache, kernel, loop_name = std::string(name), set, ticket,
-       arg_pack = std::make_tuple(args.arg...), deps = std::move(deps),
-       policy = effective_failure_policy(),
-       tenant = detail::current_tenant()](hpxlite::future<void> ready) {
+      [cache, set, ticket, pack = std::make_tuple(strip_df(members)...),
+       names = std::array<std::string, sizeof...(MDF)>{members.name...},
+       deps = std::move(deps), policy = effective_failure_policy(),
+       tenant = current_tenant()](hpxlite::future<void> ready) {
         struct slot_release {
-          std::shared_ptr<detail::dataflow_ticket> held;
+          std::shared_ptr<dataflow_ticket> held;
           ~slot_release() { held->release(); }
         } release{ticket};
         ready.get();
@@ -200,13 +263,11 @@ hpxlite::shared_future<void> op_par_loop(Kernel kernel, const char* name,
           d.get();
         }
         tenant_scope scope(tenant);
-        std::apply(
-            [&](const auto&... a) {
-              detail::run_prepared_sync(
-                  cache, backend_registry::shared("hpx_foreach"), policy,
-                  kernel, loop_name.c_str(), set, a...);
-            },
-            arg_pack);
+        [&]<std::size_t... I>(std::index_sequence<I...>) {
+          run_sync(*cache, backend_registry::shared("hpx_foreach"), policy,
+                   set, /*steps=*/1,
+                   with_name(std::get<I>(pack), names[I])...);
+        }(std::index_sequence_for<MDF...>{});
       },
       std::move(gate));
   hpxlite::shared_future<void> shared = done.share();
@@ -222,58 +283,28 @@ hpxlite::shared_future<void> op_par_loop(Kernel kernel, const char* name,
       sync->reads_since_write.push_back(shared);
     }
   }
-
   return shared;
-}
-
-namespace detail {
-
-/// One member of a fused dataflow node, built by the op_arg_df overload
-/// of op2::fuse_loop below.
-template <typename Kernel, typename... T>
-struct fused_member_df {
-  const char* name;
-  Kernel kernel;
-  std::tuple<op_arg_df<T>...> args;
-};
-
-template <typename M>
-struct is_fused_member_df : std::false_type {};
-
-template <typename Kernel, typename... T>
-struct is_fused_member_df<fused_member_df<Kernel, T...>> : std::true_type {};
-
-template <typename MDF>
-struct stripped_impl;
-
-template <typename Kernel, typename... T>
-struct stripped_impl<fused_member_df<Kernel, T...>> {
-  using type = fused_member<Kernel, T...>;
-};
-
-/// The plain fused_member type behind a dataflow member (futures
-/// stripped; the node body runs the classic fused dispatch).
-template <typename MDF>
-using stripped_t = typename stripped_impl<MDF>::type;
-
-template <typename Kernel, typename... T>
-fused_member<Kernel, T...> strip_df(const fused_member_df<Kernel, T...>& m) {
-  return std::apply(
-      [&](const auto&... a) {
-        return fused_member<Kernel, T...>{m.name, m.kernel,
-                                          std::make_tuple(a.arg...)};
-      },
-      m.args);
 }
 
 }  // namespace detail
 
 /// Modified-API member of a fused launch (futures attached).
 template <typename Kernel, typename... T>
-detail::fused_member_df<Kernel, T...> fuse_loop(Kernel kernel,
-                                                const char* name,
-                                                op_arg_df<T>... args) {
+detail::loop_member_df<Kernel, T...> fuse_loop(Kernel kernel,
+                                               const char* name,
+                                               op_arg_df<T>... args) {
   return {name, std::move(kernel), std::make_tuple(std::move(args)...)};
+}
+
+/// Modified-API op_par_loop: schedules the loop as a dataflow node and
+/// returns a shared future for its completion (see dataflow_node).
+template <typename Kernel, typename... T>
+hpxlite::shared_future<void> op_par_loop(Kernel kernel, const char* name,
+                                         const op_set& set,
+                                         op_arg_df<T>... args) {
+  return detail::dataflow_node(
+      detail::site_cache<detail::single_entry<Kernel, T...>>(), set,
+      fuse_loop(std::move(kernel), name, std::move(args)...));
 }
 
 /// Fused dataflow node: the member loops become ONE node in the
@@ -292,82 +323,10 @@ hpxlite::shared_future<void> op_par_loop_fused(fused_handle& handle,
                                                MDF... members) {
   static_assert(sizeof...(MDF) >= 1,
                 "op_par_loop_fused needs at least one member");
-  // Validate each member synchronously — malformed loops throw at the
-  // call site exactly like the unfused dataflow op_par_loop.
-  const auto validate = [&set](const auto& m) {
-    std::apply(
-        [&](const auto&... a) {
-          auto probe = std::make_tuple(a.arg...);
-          detail::validate_args(m.name, set, probe);
-        },
-        m.args);
-  };
-  (validate(members), ...);
-  detail::validate_fusable(set, detail::strip_df(members)...);
-
-  // Dependency collection per the chaining rules, over the union of
-  // the members' arguments.  A dat used by several members installs
-  // once; written-anywhere wins over read-only.
-  std::vector<hpxlite::shared_future<void>> deps;
-  std::vector<std::pair<std::shared_ptr<detail::df_sync>, bool>> installs;
-  const auto collect = [&](const auto& a) {
-    if (!a.sync) {
-      return;
-    }
-    deps.push_back(a.sync->last_write);
-    if (writes(a.arg.acc)) {
-      deps.insert(deps.end(), a.sync->reads_since_write.begin(),
-                  a.sync->reads_since_write.end());
-    }
-    for (auto& [sync, is_writer] : installs) {
-      if (sync == a.sync) {
-        is_writer = is_writer || writes(a.arg.acc);
-        return;
-      }
-    }
-    installs.emplace_back(a.sync, writes(a.arg.acc));
-  };
-  const auto collect_member = [&](const auto& m) {
-    std::apply([&](const auto&... a) { (collect(a), ...); }, m.args);
-  };
-  (collect_member(members), ...);
-
-  auto ticket = detail::acquire_dataflow_ticket();
-  auto cache = handle.cache<detail::stripped_t<MDF>...>();
-  hpxlite::future<void> gate = hpxlite::when_all(deps);
-  hpxlite::future<void> done = hpxlite::dataflow(
-      hpxlite::launch::async,
-      [cache, set, ticket, pack = std::make_tuple(detail::strip_df(members)...),
-       deps = std::move(deps), policy = effective_failure_policy(),
-       tenant = detail::current_tenant()](hpxlite::future<void> ready) {
-        struct slot_release {
-          std::shared_ptr<detail::dataflow_ticket> held;
-          ~slot_release() { held->release(); }
-        } release{ticket};
-        ready.get();
-        for (const auto& d : deps) {
-          d.get();
-        }
-        tenant_scope scope(tenant);
-        std::apply(
-            [&](const auto&... m) {
-              detail::run_fused_sync(cache,
-                                     backend_registry::shared("hpx_foreach"),
-                                     policy, set, /*steps=*/1, m...);
-            },
-            pack);
-      },
-      std::move(gate));
-  hpxlite::shared_future<void> shared = done.share();
-  for (auto& [sync, is_writer] : installs) {
-    if (is_writer) {
-      sync->last_write = shared;
-      sync->reads_since_write.clear();
-    } else {
-      sync->reads_since_write.push_back(shared);
-    }
-  }
-  return shared;
+  using entry =
+      detail::launch_entry<detail::fused_frame_for<detail::stripped_t<MDF>...>,
+                           detail::stripped_t<MDF>...>;
+  return detail::dataflow_node(handle.cache<entry>(), set, members...);
 }
 
 }  // namespace op2

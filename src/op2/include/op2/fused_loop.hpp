@@ -28,35 +28,24 @@
 // reductions are rejected for steps > 1 (the accumulation order would
 // become tile-major).
 //
-// The prepared-loop discipline (op2/prepared_loop.hpp) carries over
-// wholesale: a fused call site captures once (member frames, shared
-// direct plan, erased launch, tuners, profiling slot) and replays
-// allocation-free — the launch_overhead microbench gates the fused
-// replay path at zero heap allocations exactly like the unfused one.
-// Fallbacks preserve every existing control arm bit-for-bit:
-//   OP2_FUSE=off            members run as individual prepared loops
-//   OP2_PREPARED=off/faults members run one-shot and unfused (named
-//                           fault arming keys on member loop names)
-//   busy / stale entry      a one-shot fused frame is built and run
-// Loops issued inside a shard_scope fuse within the span: the erased
-// closures carry the same clamp + fence-gate the unfused path bakes in,
-// and the captured shard window must match on replay.
+// A fused group is one more frame kind for the capture/replay core
+// (op2/prepared_loop.hpp): it captures once (member frames, shared
+// direct plan, erased launch, tuners, profiling slot), replays
+// allocation-free and falls back exactly as a single loop does, except
+// that OP2_FUSE=off runs the members as individual prepared loops.
+// Loops issued inside a shard_scope fuse within the span: erase_frame
+// bakes in the same clamp + fence gate as for single loops.
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <type_traits>
-#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -67,32 +56,11 @@ namespace op2 {
 
 namespace detail {
 
-/// One member loop of a fused launch, as built by op2::fuse_loop.
-template <typename Kernel, typename... T>
-struct fused_member {
-  static constexpr std::size_t arity = sizeof...(T);
-  const char* name;
-  Kernel kernel;
-  std::tuple<op_arg<T>...> args;
-};
-
 template <typename M>
 struct is_fused_member : std::false_type {};
 
 template <typename Kernel, typename... T>
-struct is_fused_member<fused_member<Kernel, T...>> : std::true_type {};
-
-template <typename M>
-struct frame_for_impl;
-
-template <typename Kernel, typename... T>
-struct frame_for_impl<fused_member<Kernel, T...>> {
-  using type = loop_frame<Kernel, T...>;
-};
-
-/// The loop_frame instantiation backing one fused member.
-template <typename M>
-using frame_for = typename frame_for_impl<M>::type;
+struct is_fused_member<loop_member<Kernel, T...>> : std::true_type {};
 
 /// Opaque identity tokens for the planner: the runtime keys legality on
 /// object identity (dat/map ids, global buffer addresses), rendered as
@@ -118,7 +86,7 @@ fusion::arg_desc describe_arg(const op_arg<T>& a) {
 
 template <typename Kernel, typename... T>
 fusion::loop_desc describe_member(const op_set& set,
-                                  const fused_member<Kernel, T...>& m) {
+                                  const loop_member<Kernel, T...>& m) {
   fusion::loop_desc d;
   d.name = m.name;
   d.set = ptr_token(set.id());
@@ -130,8 +98,9 @@ fusion::loop_desc describe_member(const op_set& set,
 
 /// Runs the member list through the fusion planner and throws — with
 /// the plan's per-loop explanations — unless everything fuses into one
-/// legal group.  Capture-time only; replays reuse the verdict because
-/// the cache key pins the exact argument identity it was made for.
+/// legal group.  fused_frame::build calls it, so it runs at capture and
+/// for one-shot builds; replays reuse the verdict because the cache key
+/// pins the exact argument identity it was made for.
 template <typename... M>
 void validate_fusable(const op_set& set, const M&... members) {
   std::vector<fusion::loop_desc> descs;
@@ -154,7 +123,7 @@ void validate_fusable(const op_set& set, const M&... members) {
 }
 
 template <typename Kernel, typename... T>
-bool member_has_reduction(const fused_member<Kernel, T...>& m) {
+bool member_has_reduction(const loop_member<Kernel, T...>& m) {
   return std::apply(
       [](const auto&... a) {
         return ((a.is_global() && is_reduction(a.acc)) || ...);
@@ -182,6 +151,8 @@ void validate_steps(int steps, const M&... members) {
 /// schedule knobs (steps, tile), traversed element-contiguously.
 template <typename... Frames>
 struct fused_frame {
+  static constexpr bool fused = true;
+  static constexpr bool direct_loop = true;  // only direct members fuse
   std::string name;  // member names joined with '+'
   op_set set;
   std::tuple<std::shared_ptr<Frames>...> frames;
@@ -189,10 +160,10 @@ struct fused_frame {
   /// every member frame holds this same plan).
   std::shared_ptr<const op_plan> plan;
   bool has_reduction = false;
-  /// Per-dispatch schedule: written only while the owning entry's
-  /// in_flight flag is held (or before the first dispatch), read by the
-  /// erased closures — the same publication discipline as the kernel
-  /// re-emplace on the unfused replay path.
+  /// Per-dispatch schedule: written only while the owning entry is held
+  /// in flight (or before the first dispatch), read by the erased
+  /// closures — the same publication discipline as the kernel
+  /// re-emplace on replay.
   int steps = 1;
   int tile = 0;  // elements per tile; 0 = the whole range is one tile
 
@@ -243,446 +214,53 @@ struct fused_frame {
   void merge_scratch() const {
     std::apply([](const auto&... f) { (f->merge_scratch(), ...); }, frames);
   }
-};
 
-template <typename Kernel, typename... T>
-std::shared_ptr<loop_frame<Kernel, T...>> make_member_frame(
-    const op_set& set, fused_member<Kernel, T...> m) {
-  return std::apply(
-      [&](auto&... a) {
-        return make_frame(m.name, set, std::move(m.kernel), std::move(a)...);
-      },
-      m.args);
-}
-
-template <typename... M>
-std::shared_ptr<fused_frame<frame_for<M>...>> build_fused_frame(
-    const op_set& set, M... members) {
-  const std::array<const char*, sizeof...(M)> names{members.name...};
-  auto fused = std::make_shared<fused_frame<frame_for<M>...>>();
-  fused->name = names[0];
-  for (std::size_t i = 1; i < names.size(); ++i) {
-    fused->name += '+';
-    fused->name += names[i];
-  }
-  fused->set = set;
-  fused->frames =
-      std::make_tuple(make_member_frame(set, std::move(members))...);
-  fused->plan = std::get<0>(fused->frames)->plan;
-  fused->has_reduction = std::apply(
-      [](const auto&... f) { return (f->has_reduction || ...); },
-      fused->frames);
-  return fused;
-}
-
-/// Union of the members' write sets, deduplicated to the widest span
-/// per base — what run_loop_protected snapshots for the whole fused
-/// launch.
-template <typename... Frames>
-std::vector<write_target> collect_fused_write_targets(
-    fused_frame<Frames...>& fused) {
-  std::vector<write_target> all;
-  const auto merge = [&all](auto& frame) {
-    for (auto& t : collect_write_targets(*frame)) {
-      bool seen = false;
-      for (auto& existing : all) {
-        if (existing.data == t.data) {
-          if (t.bytes > existing.bytes) {
-            existing.bytes = t.bytes;
-            existing.name = t.name;
-          }
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        all.push_back(std::move(t));
-      }
+  /// The capture/replay core's frame interface, as on loop_frame.
+  /// build checks the member list through the fusion planner first, so
+  /// an illegal list throws before any frame is made.
+  template <typename... M>
+  static std::shared_ptr<fused_frame> build(const op_set& set, M... members) {
+    validate_fusable(set, members...);
+    const std::array<const char*, sizeof...(M)> names{members.name...};
+    auto fused = std::make_shared<fused_frame>();
+    fused->name = names[0];
+    for (std::size_t i = 1; i < names.size(); ++i) {
+      fused->name += '+';
+      fused->name += names[i];
     }
-  };
-  std::apply([&merge](const auto&... f) { (merge(f), ...); }, fused.frames);
-  return all;
-}
-
-/// Erases a fused frame into the launch descriptor executors consume —
-/// the fused twin of erase_frame.  Faults are not armed here: an active
-/// injector diverts run_fused_sync to the per-member one-shot path
-/// before a fused frame is ever built, so member-named fault specs keep
-/// firing exactly as for unfused loops.
-template <typename... Frames>
-loop_launch erase_fused(std::shared_ptr<fused_frame<Frames...>> fused) {
-  loop_launch d;
-  d.name = fused->name;
-  d.plan = fused->plan;
-  d.set_size = fused->set.size();
-  d.direct = true;  // only direct members fuse
-  d.chunk = configured_chunk();
-  if (fused->has_reduction) {
-    d.begin_invocation = [fused] { fused->reset_scratch(); };
-    d.finalize = [fused] { fused->merge_scratch(); };
-  }
-  if (profiling::enabled()) {
-    d.prof = profiling::acquire_slot(d.name);
-  }
-  if (effective_failure_policy().enabled()) {
-    d.writes = collect_fused_write_targets(*fused);
-  }
-  // Shard loops fuse within the span: the same clamp (drop the halo
-  // suffix) + fence gate (wait the exchange before touching the halo-
-  // reading tail) the unfused erase bakes in, applied around the fused
-  // tile walk.
-  if (const shard_context shard = current_shard_context(); shard.active) {
-    d.shard = shard;
-    d.run_block = [fused, shard](int blk) {
-      hpxlite::watchdog::pulse();
-      const auto bi = static_cast<std::size_t>(blk);
-      const int b = fused->plan->offset[bi];
-      const int e =
-          std::min(b + fused->plan->nelems[bi], shard.iterate_end);
-      if (b >= e) {
-        return;
-      }
-      if (e > shard.interior_end) {
-        shard.gate();
-      }
-      fused->run_range(b, e);
-    };
-    d.run_range = [fused, shard](int b, int e) {
-      hpxlite::watchdog::pulse();
-      e = std::min(e, shard.iterate_end);
-      if (b >= e) {
-        return;
-      }
-      if (e > shard.interior_end) {
-        shard.gate();
-      }
-      fused->run_range(b, e);
-    };
-    return d;
-  }
-  d.run_block = [fused](int b) {
-    hpxlite::watchdog::pulse();
-    fused->run_block(b);
-  };
-  d.run_range = [fused](int b, int e) {
-    hpxlite::watchdog::pulse();
-    fused->run_range(b, e);
-  };
-  return d;
-}
-
-/// One captured fused launch: the prepared_entry shape, widened to N
-/// member loops with the argument keys flattened into fixed arrays so
-/// the replay identity check allocates nothing.
-template <typename... M>
-struct fused_entry {
-  static constexpr std::size_t nmembers = sizeof...(M);
-  static constexpr std::size_t total_args = (0 + ... + M::arity);
-  std::array<const char*, nmembers> member_names{};
-  const void* set_id = nullptr;
-  int set_size = 0;
-  std::uint64_t set_version = 0;
-  std::uint64_t epoch = 0;
-  std::array<arg_key, total_args> keys{};
-  std::array<std::uint64_t, total_args> dat_versions{};
-  std::shared_ptr<fused_frame<frame_for<M>...>> fused;
-  loop_launch launch;
-  /// Stable id stamped on the profiling row (op_timing_output's fgroup
-  /// column) so fused rows are attributable across reports.
-  std::uint64_t group_id = 0;
-  /// Resolved OP2_TILE: a fixed element count, or 0 with the tile
-  /// controller below when OP2_TILE=auto.
-  int fixed_tile = 0;
-  /// OP2_TILE=auto — the grain tuner's second calibration dimension,
-  /// keyed "<name>#tile" so chunk samples stay untainted.
-  std::shared_ptr<hpxlite::grain_controller> tile_tuner;
-  /// Chunk controller, exactly as on the unfused prepared path.
-  std::shared_ptr<hpxlite::grain_controller> tuner;
-  std::atomic<bool> in_flight{false};
-};
-
-template <typename Kernel, typename... T>
-std::size_t fill_member_keys(const fused_member<Kernel, T...>& m,
-                             arg_key* keys, std::uint64_t* versions) {
-  std::apply(
-      [&](const auto&... a) {
-        std::size_t i = 0;
-        ((keys[i] = make_arg_key(a), versions[i] = arg_version(a), ++i),
-         ...);
-      },
-      m.args);
-  return sizeof...(T);
-}
-
-/// Fixed-capacity fused-call-site cache, mirroring call_site_cache.
-/// Capacity 8 matters here: the sharded Airfoil driver replays one
-/// textual call site against a different per-shard owned set per shard.
-template <typename... M>
-class fused_site_cache final : public prepared_cache_base {
- public:
-  using entry = fused_entry<M...>;
-
-  std::shared_ptr<entry> find(
-      const std::array<const char*, entry::nmembers>& names,
-      const void* set_id,
-      const std::array<arg_key, entry::total_args>& keys) {
-    std::lock_guard<hpxlite::spinlock> lock(lock_);
-    for (const auto& e : entries_) {
-      if (e && e->set_id == set_id && e->keys == keys &&
-          same_names(e->member_names, names)) {
-        return e;
-      }
-    }
-    return nullptr;
+    fused->set = set;
+    fused->frames =
+        std::make_tuple(M::frame::build(set, std::move(members))...);
+    fused->plan = std::get<0>(fused->frames)->plan;
+    fused->has_reduction = std::apply(
+        [](const auto&... f) { return (f->has_reduction || ...); },
+        fused->frames);
+    return fused;
   }
 
-  void store(std::shared_ptr<entry> e) {
-    std::lock_guard<hpxlite::spinlock> lock(lock_);
-    for (auto& slot : entries_) {
-      if (slot && slot->set_id == e->set_id && slot->keys == e->keys &&
-          same_names(slot->member_names, e->member_names)) {
-        slot = std::move(e);  // replace a stale same-identity entry
-        return;
-      }
-    }
-    for (auto& slot : entries_) {
-      if (!slot) {
-        slot = std::move(e);
-        return;
-      }
-    }
-    entries_[victim_] = std::move(e);
-    victim_ = (victim_ + 1) % entries_.size();
+  template <typename... M>
+  void rebind(M&... members) {
+    std::apply([&](auto&... f) { (f->rebind(members), ...); }, frames);
   }
 
-  void clear() override {
-    std::lock_guard<hpxlite::spinlock> lock(lock_);
-    for (auto& slot : entries_) {
-      slot.reset();
-    }
-    victim_ = 0;
+  void collect_writes(std::vector<write_target>& out) {
+    std::apply([&out](auto&... f) { (f->collect_writes(out), ...); },
+               frames);
   }
-
- private:
-  static bool same_names(
-      const std::array<const char*, entry::nmembers>& a,
-      const std::array<const char*, entry::nmembers>& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (a[i] != b[i] && std::strcmp(a[i], b[i]) != 0) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  hpxlite::spinlock lock_;
-  std::array<std::shared_ptr<entry>, 8> entries_{};
-  std::size_t victim_ = 0;
 };
 
 template <typename... M>
-bool fused_entry_valid(
-    const fused_entry<M...>& e, const op_set& set,
-    const std::array<std::uint64_t, fused_entry<M...>::total_args>&
-        versions) {
-  return e.epoch == prepared_epoch() && e.set_size == set.size() &&
-         e.set_version == set.version() && e.dat_versions == versions &&
-         e.launch.shard == current_shard_context();
-}
+using fused_frame_for = fused_frame<typename M::frame...>;
 
 template <typename... M>
-std::shared_ptr<fused_entry<M...>> capture_fused_entry(
-    loop_executor& exec,
-    const std::array<const char*, sizeof...(M)>& names,
-    const std::array<arg_key, fused_entry<M...>::total_args>& keys,
-    const std::array<std::uint64_t, fused_entry<M...>::total_args>& versions,
-    const op_set& set, M... members) {
-  auto e = std::make_shared<fused_entry<M...>>();
-  e->member_names = names;
-  e->keys = keys;
-  e->dat_versions = versions;
-  // build_fused_frame validates every member (via make_frame) before
-  // the set is queried.
-  e->fused = build_fused_frame(set, std::move(members)...);
-  e->set_id = set.id();
-  e->set_size = set.size();
-  e->set_version = set.version();
-  e->epoch = prepared_epoch();
-  e->launch = erase_fused(e->fused);
-  e->group_id = fusion::next_fused_group_id();
-  if (tuner::applicable(exec)) {
-    e->tuner = tuner::acquire(e->launch.name,
-                              static_cast<std::size_t>(e->set_size));
-    e->launch.chunk = hpxlite::adaptive_chunk_size{e->tuner};
-  }
-  const config& cfg = current_config();
-  const int tile_spec = parse_tile_spec(cfg.tile);
-  if (tile_spec > 0) {
-    e->fixed_tile = tile_spec;
-  } else if (tile_spec < 0 && cfg.tuner != tuner_mode::off) {
-    e->tile_tuner = tuner::acquire(e->launch.name + "#tile",
-                                   static_cast<std::size_t>(e->set_size));
-  }
-  e->launch.prof = profiling::acquire_slot(e->launch.name);
-  profiling::record_capture(e->launch.name);
-  return e;
-}
-
-/// The tile this dispatch runs with: the fixed OP2_TILE, or the tile
-/// controller's current calibration (clamped; a tile covering the set
-/// degenerates to untiled).
-template <typename Entry>
-int resolve_tile(const Entry& e) {
-  if (e.tile_tuner) {
-    const std::size_t c = e.tile_tuner->current_chunk();
-    if (c == 0 || c >= static_cast<std::size_t>(e.set_size)) {
-      return 0;
-    }
-    return static_cast<int>(c);
-  }
-  return e.fixed_tile;
-}
-
-template <typename... M>
-void dispatch_fused(loop_executor& exec,
-                    const std::shared_ptr<fused_entry<M...>>& e,
-                    const failure_policy& policy, int steps) {
-  e->fused->steps = steps;
-  e->fused->tile = resolve_tile(*e);
-  profiling::record_fusion(e->launch.prof, e->group_id, sizeof...(M),
-                           static_cast<std::uint64_t>(e->fused->tile));
-  if (!e->tuner && !e->tile_tuner) {
-    run_loop_protected(exec, e->launch, policy);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  run_loop_protected(exec, e->launch, policy);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (e->tuner) {
-    e->tuner->feed(seconds);
-    profiling::record_tuner(e->launch.prof, e->tuner->current_chunk(),
-                            hpxlite::to_string(e->tuner->current_state()));
-  }
-  if (e->tile_tuner) {
-    e->tile_tuner->feed(seconds);
-  }
-}
-
-/// Replay-time refresh of one member: fresh kernel captures and global
-/// pointers, as on the unfused replay path.
-template <typename Kernel, typename... T>
-void rebind_member(loop_frame<Kernel, T...>& frame,
-                   fused_member<Kernel, T...>& m) {
-  frame.kernel.emplace(std::move(m.kernel));
-  rebind_globals_impl(frame, m.args, std::index_sequence_for<T...>{});
-}
-
-template <typename... M, std::size_t... Is>
-void rebind_members(fused_entry<M...>& e, std::index_sequence<Is...>,
-                    M&... members) {
-  (rebind_member(*std::get<Is>(e.fused->frames), members), ...);
-}
-
-template <typename Kernel, typename... T>
-void run_member_prepared(loop_executor& exec, const failure_policy& policy,
-                         const op_set& set,
-                         const fused_member<Kernel, T...>& m) {
-  std::apply(
-      [&](const auto&... a) {
-        run_prepared_sync(site_cache<Kernel, T...>(), exec, policy, m.kernel,
-                          m.name, set, a...);
-      },
-      m.args);
-}
-
-template <typename Kernel, typename... T>
-void run_member_one_shot(loop_executor& exec, const failure_policy& policy,
-                         const op_set& set,
-                         const fused_member<Kernel, T...>& m) {
-  std::apply(
-      [&](const auto&... a) {
-        run_loop_protected(exec, one_shot_launch(m.kernel, m.name, set, a...),
-                           policy);
-      },
-      m.args);
-}
-
-/// Cache-bypassing fused build, for busy/stale entries: still fused
-/// (the caller asked for the fused schedule), just not cached.
-template <typename... M>
-void run_fused_one_shot(loop_executor& exec, const failure_policy& policy,
-                        const op_set& set, int steps, M... members) {
-  validate_fusable(set, members...);
-  auto fused = build_fused_frame(set, std::move(members)...);
-  fused->steps = steps;
-  const int tile_spec = parse_tile_spec(current_config().tile);
-  fused->tile = tile_spec > 0 ? tile_spec : 0;
-  run_loop_protected(exec, erase_fused(std::move(fused)), policy);
-}
-
-/// Synchronous fused dispatch — the body of op_par_loop_fused.
-template <typename... M>
-void run_fused_sync(const std::shared_ptr<fused_site_cache<M...>>& cache,
-                    loop_executor& exec, const failure_policy& policy,
-                    const op_set& set, int steps, M... members) {
+void run_fused(loop_handle& handle, const op_set& set, int steps,
+               M... members) {
+  static_assert(sizeof...(M) >= 1,
+                "op_par_loop_fused needs at least one member");
   validate_steps(steps, members...);
-  const config& cfg = current_config();
-  if (!cfg.fuse) {
-    // OP2_FUSE=off control arm: the members run as individual prepared
-    // loops in program order — bit-identical to the fused schedule
-    // (same per-element program order, same reduction merge order).
-    for (int s = 0; s < steps; ++s) {
-      (run_member_prepared(exec, policy, set, members), ...);
-    }
-    return;
-  }
-  if (!cfg.prepared_loops || fault_injector::active()) {
-    // Named fault arming and the OP2_PREPARED control arm both key on
-    // the individual member loops; keep them observable by running the
-    // members one-shot and unfused.
-    for (int s = 0; s < steps; ++s) {
-      (run_member_one_shot(exec, policy, set, members), ...);
-    }
-    return;
-  }
-  using entry_t = fused_entry<M...>;
-  const std::array<const char*, sizeof...(M)> names{members.name...};
-  std::array<arg_key, entry_t::total_args> keys{};
-  std::array<std::uint64_t, entry_t::total_args> versions{};
-  {
-    std::size_t off = 0;
-    ((off += fill_member_keys(members, keys.data() + off,
-                              versions.data() + off)),
-     ...);
-  }
-  if (auto e = cache->find(names, set.id(), keys);
-      e && fused_entry_valid(*e, set, versions)) {
-    bool expected = false;
-    if (e->in_flight.compare_exchange_strong(expected, true,
-                                             std::memory_order_acq_rel)) {
-      flight_guard<entry_t> guard{e};
-      rebind_members(*e, std::index_sequence_for<M...>{}, members...);
-      if (policy.enabled()) {
-        e->launch.writes = collect_fused_write_targets(*e->fused);
-      }
-      profiling::record_replay(e->launch.prof);
-      dispatch_fused(exec, e, policy, steps);
-      return;
-    }
-    // The entry is mid-execution (async overlap with ourselves): run
-    // this invocation unshared.
-    run_fused_one_shot(exec, policy, set, steps, std::move(members)...);
-    return;
-  }
-  validate_fusable(set, members...);
-  auto e = capture_fused_entry(exec, names, keys, versions, set,
-                               std::move(members)...);
-  e->in_flight.store(true, std::memory_order_release);
-  cache->store(e);
-  flight_guard<entry_t> guard{e};
-  dispatch_fused(exec, e, policy, steps);
+  using entry = launch_entry<fused_frame_for<M...>, M...>;
+  run_sync(*handle.cache<entry>(), current_executor(),
+           effective_failure_policy(), set, steps, std::move(members)...);
 }
 
 }  // namespace detail
@@ -693,46 +271,13 @@ void run_fused_sync(const std::shared_ptr<fused_site_cache<M...>>& cache,
 ///       op2::fuse_loop(update, "update", args...),
 ///       op2::fuse_loop(save_soln, "save_soln", args...));
 template <typename Kernel, typename... T>
-detail::fused_member<Kernel, T...> fuse_loop(Kernel kernel, const char* name,
-                                             op_arg<T>... args) {
+detail::loop_member<Kernel, T...> fuse_loop(Kernel kernel, const char* name,
+                                            op_arg<T>... args) {
   return {name, std::move(kernel), std::make_tuple(std::move(args)...)};
 }
 
-/// Explicit per-call-site cache for fused launches — loop_handle's
-/// fused twin, owned by generated code and hand-written drivers.
-class fused_handle {
- public:
-  fused_handle() = default;
-  fused_handle(const fused_handle&) = delete;
-  fused_handle& operator=(const fused_handle&) = delete;
-
-  /// Drops all captured descriptors; the next invocation re-captures.
-  void invalidate() {
-    std::lock_guard<hpxlite::spinlock> lock(lock_);
-    if (cache_) {
-      cache_->clear();
-    }
-  }
-
-  /// The typed cache for this site, created on first use.
-  template <typename... M>
-  std::shared_ptr<detail::fused_site_cache<M...>> cache() {
-    using cache_t = detail::fused_site_cache<M...>;
-    std::lock_guard<hpxlite::spinlock> lock(lock_);
-    if (!cache_ || type_ != &typeid(cache_t)) {
-      auto c = std::make_shared<cache_t>();
-      detail::register_prepared_cache(c);
-      cache_ = c;
-      type_ = &typeid(cache_t);
-    }
-    return std::static_pointer_cast<cache_t>(cache_);
-  }
-
- private:
-  hpxlite::spinlock lock_;
-  std::shared_ptr<detail::prepared_cache_base> cache_;
-  const std::type_info* type_ = nullptr;
-};
+/// A fused launch caches through an ordinary loop_handle.
+using fused_handle = loop_handle;
 
 /// Runs the member loops as ONE fused launch: a single traversal of
 /// `set` invoking every member kernel per element, in member order.
@@ -746,11 +291,7 @@ template <typename... M,
               (detail::is_fused_member<M>::value && ...)>>
 void op_par_loop_fused(fused_handle& handle, const op_set& set,
                        M... members) {
-  static_assert(sizeof...(M) >= 1,
-                "op_par_loop_fused needs at least one member");
-  detail::run_fused_sync(handle.cache<M...>(), current_executor(),
-                         effective_failure_policy(), set, /*steps=*/1,
-                         std::move(members)...);
+  detail::run_fused(handle, set, /*steps=*/1, std::move(members)...);
 }
 
 /// Time-step-tiled flavour: runs `steps` repetitions of the fused chain
@@ -763,11 +304,7 @@ template <typename... M,
               (detail::is_fused_member<M>::value && ...)>>
 void op_par_loop_fused_steps(fused_handle& handle, const op_set& set,
                              int steps, M... members) {
-  static_assert(sizeof...(M) >= 1,
-                "op_par_loop_fused needs at least one member");
-  detail::run_fused_sync(handle.cache<M...>(), current_executor(),
-                         effective_failure_policy(), set, steps,
-                         std::move(members)...);
+  detail::run_fused(handle, set, steps, std::move(members)...);
 }
 
 }  // namespace op2

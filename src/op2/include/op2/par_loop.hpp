@@ -33,11 +33,10 @@
 // global_merge_lock), because two loops may finalise into the same
 // global concurrently.
 //
-// The frame built here is the unit the prepared-loop layer
-// (op2/prepared_loop.hpp, included at the tail) caches: capture runs
-// make_frame + erase_frame once, replay re-runs only the erased
-// closures.  The public op_par_loop / op_par_loop_async entry points
-// live there.
+// The frame built here (loop_frame, or a fused_frame of several from
+// op2/fused_loop.hpp) is what the capture/replay core in
+// op2/prepared_loop.hpp caches: capture builds the frame and erases it
+// into a loop_launch once, replay re-runs only the erased closures.
 #pragma once
 
 #include <algorithm>
@@ -170,9 +169,14 @@ reduction_slots<T> make_reduction_slots(const op_arg<T>& a,
 /// The pointer the kernel sees for argument `b` at iteration-set
 /// element `i`: direct args index by i, indirect args go through the
 /// map, globals pass the caller's buffer — or the executing worker's
-/// reduction slot when `slot` is non-null.
+/// reduction slot when `slot` is non-null.  Runs once per argument per
+/// element, so it is forced inline: left to its heuristics, GCC 12
+/// splits it and calls the map-indexing half out of line from large
+/// element loops (the fused traversal, many-argument indirect loops),
+/// which made Airfoil's indirect and fused loops 10-50% slower.
 template <typename T>
-T* arg_pointer(const bound_arg<T>& b, T* slot, int i) {
+[[gnu::always_inline]] inline T* arg_pointer(const bound_arg<T>& b, T* slot,
+                                             int i) {
   if (b.gbl != nullptr) {
     return slot != nullptr ? slot : b.gbl;
   }
@@ -184,6 +188,61 @@ T* arg_pointer(const bound_arg<T>& b, T* slot, int i) {
   return b.base + static_cast<std::size_t>(e) * static_cast<std::size_t>(b.dim);
 }
 
+template <typename Kernel, typename... T>
+struct loop_frame;
+
+template <typename Kernel, typename... T>
+std::shared_ptr<loop_frame<Kernel, T...>> make_frame(const char* name,
+                                                     const op_set& set,
+                                                     Kernel kernel,
+                                                     op_arg<T>... args);
+
+/// One loop invocation as the caller issued it: a single op_par_loop,
+/// or one member of a fused launch (built by op2::fuse_loop).
+template <typename Kernel, typename... T>
+struct loop_member {
+  using frame = loop_frame<Kernel, T...>;
+  static constexpr std::size_t arity = sizeof...(T);
+  const char* name;
+  Kernel kernel;
+  std::tuple<op_arg<T>...> args;
+};
+
+/// Adds the region `arg` writes to a loop's write set: the dat, or the
+/// global buffer for a reduction.  Deduplication is on the base
+/// pointer: two arguments over one base collapse to one target
+/// covering the widest span, so a narrower alias (e.g. a global
+/// reduction into the first element of a buffer another argument
+/// writes in full) cannot shadow the full region out of the rollback
+/// snapshot.
+template <typename T>
+void add_write_target(std::vector<write_target>& targets, op_arg<T>& arg) {
+  if (!writes(arg.acc)) {
+    return;
+  }
+  write_target t;
+  if (arg.is_global()) {
+    t.data = reinterpret_cast<std::byte*>(arg.gbl);
+    t.bytes = static_cast<std::size_t>(arg.dim) * sizeof(*arg.gbl);
+    t.name = "<global>";
+  } else {
+    const auto raw = arg.dat.raw_bytes();
+    t.data = raw.data();
+    t.bytes = raw.size();
+    t.name = arg.dat.name();
+  }
+  for (auto& existing : targets) {
+    if (existing.data == t.data) {
+      if (t.bytes > existing.bytes) {
+        existing.bytes = t.bytes;
+        existing.name = t.name;
+      }
+      return;
+    }
+  }
+  targets.push_back(std::move(t));
+}
+
 /// Everything one loop needs, bundled so the async/dataflow backends —
 /// and the prepared-loop cache — can keep it alive beyond the call
 /// site.  The op_arg tuple holds the op_dat shared handles; bound_
@@ -191,6 +250,7 @@ T* arg_pointer(const bound_arg<T>& b, T* slot, int i) {
 /// reused (reset + merged) by every invocation.
 template <typename Kernel, typename... T>
 struct loop_frame {
+  static constexpr bool fused = false;
   std::string name;
   op_set set;
   /// Engaged for the frame's whole life; replays re-emplace it so
@@ -264,6 +324,35 @@ struct loop_frame {
           std::apply([&](auto&... s) { (merge_one(b, s), ...); }, scratch);
         },
         bound);
+  }
+
+  /// The capture/replay core's frame interface (fused_frame has the
+  /// same three): build from the caller's member, refresh a cached frame
+  /// for a replay, and list the write set.
+  static std::shared_ptr<loop_frame> build(const op_set& set,
+                                           loop_member<Kernel, T...> m) {
+    return std::apply(
+        [&](auto&... a) {
+          return make_frame(m.name, set, std::move(m.kernel), std::move(a)...);
+        },
+        m.args);
+  }
+
+  /// Re-emplaces the kernel (fresh by-value captures) and rebinds the
+  /// global-argument pointers: the cached frame may hold &rms from a
+  /// previous iteration while the caller now passes another target (the
+  /// dataflow driver rotates reduction slots).
+  void rebind(loop_member<Kernel, T...>& m) {
+    kernel.emplace(std::move(m.kernel));
+    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
+      (rebind_one(std::get<Is>(args), std::get<Is>(bound),
+                  std::get<Is>(m.args)),
+       ...);
+    }(std::index_sequence_for<T...>{});
+  }
+
+  void collect_writes(std::vector<write_target>& out) {
+    std::apply([&out](auto&... a) { (add_write_target(out, a), ...); }, args);
   }
 
  private:
@@ -343,6 +432,15 @@ struct loop_frame {
   template <typename Ptrs, std::size_t... Is>
   void invoke(int i, const Ptrs& ptrs, std::index_sequence<Is...>) const {
     (*kernel)(arg_pointer(std::get<Is>(bound), std::get<Is>(ptrs), i)...);
+  }
+
+  template <typename U>
+  static void rebind_one(op_arg<U>& cached, bound_arg<U>& view,
+                         const op_arg<U>& fresh) {
+    if (cached.gbl != nullptr) {
+      cached.gbl = fresh.gbl;
+      view.gbl = fresh.gbl;
+    }
   }
 
   template <typename U>
@@ -495,63 +593,29 @@ inline hpxlite::chunk_spec configured_chunk() {
   return hpxlite::auto_chunk_size{};
 }
 
-/// The loop's deduplicated write set: every dat a non-OP_READ dat
-/// argument targets, plus every global argument buffer the loop updates
-/// — exactly the state run_loop_protected must snapshot/restore.
-/// Deduplication is on (base, extent): two arguments over the same base
-/// pointer collapse to one target covering the widest span, so a
-/// narrower alias (e.g. a global reduction into the first element of a
-/// buffer another argument writes in full) cannot shadow the full
-/// region out of the rollback snapshot.
-template <typename Kernel, typename... T>
-std::vector<write_target> collect_write_targets(
-    loop_frame<Kernel, T...>& frame) {
+/// The loop's deduplicated write set (see add_write_target): every dat
+/// a non-OP_READ dat argument targets, plus every global argument buffer
+/// the loop updates — exactly the state run_loop_protected must
+/// snapshot/restore.  A fused frame lists its members' sets in order.
+template <typename Frame>
+std::vector<write_target> collect_write_targets(Frame& frame) {
   std::vector<write_target> targets;
-  std::apply(
-      [&targets](auto&... a) {
-        const auto add = [&targets](auto& arg) {
-          if (!writes(arg.acc)) {
-            return;
-          }
-          write_target t;
-          if (arg.is_global()) {
-            t.data = reinterpret_cast<std::byte*>(arg.gbl);
-            t.bytes = static_cast<std::size_t>(arg.dim) * sizeof(*arg.gbl);
-            t.name = "<global>";
-          } else {
-            const auto raw = arg.dat.raw_bytes();
-            t.data = raw.data();
-            t.bytes = raw.size();
-            t.name = arg.dat.name();
-          }
-          for (auto& existing : targets) {
-            if (existing.data == t.data) {
-              if (t.bytes > existing.bytes) {
-                // Keep the widest span over this base.
-                existing.bytes = t.bytes;
-                existing.name = t.name;
-              }
-              return;
-            }
-          }
-          targets.push_back(std::move(t));
-        };
-        (add(a), ...);
-      },
-      frame.args);
+  frame.collect_writes(targets);
   return targets;
 }
 
-/// Erases the typed frame into the launch descriptor executors consume.
-/// The run_block/run_range closures share ownership of the frame, so
-/// any copy of the launch keeps the loop's data (dats, plan, kernel)
-/// alive — asynchronous executors just capture the launch by value.
-/// The closures also carry the resilience hooks: a watchdog heartbeat
-/// per chunk, and the fault-injection fire points when this invocation
-/// is armed (so injected faults originate inside the backend's real
-/// parallel region).
-template <typename Kernel, typename... T>
-loop_launch erase_frame(std::shared_ptr<loop_frame<Kernel, T...>> frame) {
+/// Erases a typed frame (loop_frame or fused_frame) into the launch
+/// descriptor executors consume.  The run_block/run_range closures share
+/// ownership of the frame, so any copy of the launch keeps the loop's
+/// data (dats, plan, kernel) alive — asynchronous executors just capture
+/// the launch by value.  The closures also carry the resilience hooks:
+/// a watchdog heartbeat per chunk, and the fault-injection fire points
+/// when this invocation is armed (so injected faults originate inside
+/// the backend's real parallel region; corrupt faults fire at dispatch
+/// level once the whole loop completes, because a chunk-level fire races
+/// with later chunks that legitimately rewrite the target).
+template <typename Frame>
+loop_launch erase_frame(std::shared_ptr<Frame> frame) {
   loop_launch d;
   d.name = frame->name;
   d.plan = frame->plan;
@@ -574,50 +638,11 @@ loop_launch erase_frame(std::shared_ptr<loop_frame<Kernel, T...>> frame) {
     d.writes = collect_write_targets(*frame);
   }
   d.fault = fault_injector::arm(d.name);
-  // Loops issued inside a shard_scope get clamping + fence-gating baked
-  // into the erased closures: iteration past `iterate_end` is dropped
-  // (the halo suffix owned by other shards), and any chunk crossing
-  // `interior_end` first waits the shard's halo-exchange fence.  Doing
-  // it here — not in a backend — means EVERY executor runs shard loops
-  // correctly: the seq floor and each degradation-ladder rung reuse the
-  // same closures, so rollback/retry/rung-down compose with sharding.
-  if (const shard_context shard = current_shard_context(); shard.active) {
-    d.shard = shard;
-    auto fault = d.fault;
-    d.run_block = [frame, shard, fault](int blk) {
-      hpxlite::watchdog::pulse();
-      if (fault) {
-        fire_fault_pre(*fault);
-      }
-      const auto bi = static_cast<std::size_t>(blk);
-      const int b = frame->plan->offset[bi];
-      const int e =
-          std::min(b + frame->plan->nelems[bi], shard.iterate_end);
-      if (b >= e) {
-        return;
-      }
-      if (e > shard.interior_end) {
-        shard.gate();
-      }
-      frame->run_range(b, e);
-    };
-    d.run_range = [frame, shard, fault](int b, int e) {
-      hpxlite::watchdog::pulse();
-      if (fault) {
-        fire_fault_pre(*fault);
-      }
-      e = std::min(e, shard.iterate_end);
-      if (b >= e) {
-        return;
-      }
-      if (e > shard.interior_end) {
-        shard.gate();
-      }
-      frame->run_range(b, e);
-    };
-    return d;
-  }
-  if (!d.fault) {
+  const shard_context shard = current_shard_context();
+  if (!shard.active && !d.fault) {
+    // The common case: the closures capture only the frame, so they fit
+    // std::function's inline buffer and copying the launch allocates
+    // nothing.
     d.run_block = [frame](int b) {
       hpxlite::watchdog::pulse();
       frame->run_block(b);
@@ -628,21 +653,38 @@ loop_launch erase_frame(std::shared_ptr<loop_frame<Kernel, T...>> frame) {
     };
     return d;
   }
-  // Throw/stall faults fire inside the chunk (the backend's real
-  // parallel region); corrupt faults fire at dispatch level once the
-  // whole loop completes (run_loop / launch_loop), because a chunk-level
-  // fire races with later chunks that legitimately rewrite the target.
-  auto fault = d.fault;
-  d.run_block = [frame, fault](int b) {
+  // Loops issued inside a shard_scope get clamping + fence-gating baked
+  // into the erased closures: iteration past `iterate_end` is dropped
+  // (the halo suffix owned by other shards), and any chunk crossing
+  // `interior_end` first waits the shard's halo-exchange fence.  Doing
+  // it here — not in a backend — means EVERY executor runs shard loops
+  // correctly: the seq floor and each degradation-ladder rung reuse the
+  // same closures, so rollback/retry/rung-down compose with sharding.
+  if (shard.active) {
+    d.shard = shard;
+  }
+  const auto run = [frame, shard, fault = d.fault](int b, int e) {
     hpxlite::watchdog::pulse();
-    fire_fault_pre(*fault);
-    frame->run_block(b);
-  };
-  d.run_range = [frame, fault](int b, int e) {
-    hpxlite::watchdog::pulse();
-    fire_fault_pre(*fault);
+    if (fault) {
+      fire_fault_pre(*fault);
+    }
+    if (shard.active) {
+      e = std::min(e, shard.iterate_end);
+      if (b >= e) {
+        return;
+      }
+      if (e > shard.interior_end) {
+        shard.gate();
+      }
+    }
     frame->run_range(b, e);
   };
+  d.run_block = [frame, run](int blk) {
+    const auto bi = static_cast<std::size_t>(blk);
+    const int b = frame->plan->offset[bi];
+    run(b, b + frame->plan->nelems[bi]);
+  };
+  d.run_range = run;
   return d;
 }
 
@@ -650,7 +692,7 @@ loop_launch erase_frame(std::shared_ptr<loop_frame<Kernel, T...>> frame) {
 
 }  // namespace op2
 
-// The prepared-loop layer defines the public op_par_loop /
-// op_par_loop_async entry points on top of the frame machinery above.
-// Tail-included so either header can be included first.
+// The capture/replay core and the public op_par_loop /
+// op_par_loop_async entry points.  Tail-included so either header can
+// be included first.
 #include "op2/prepared_loop.hpp"

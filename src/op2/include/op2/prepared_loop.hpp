@@ -1,4 +1,5 @@
-// Prepared loops — capture-once / replay-many launch descriptors.
+// The capture/replay core — one launch lifecycle for single loops,
+// fused groups and dataflow nodes.
 //
 // The classic op_par_loop entry point pays, on *every* invocation:
 // argument validation, conflict collection, a plan-cache lookup, raw
@@ -7,15 +8,20 @@
 // that executes the same handful of loops thousands of times (Airfoil:
 // 5 loops × 1000 iterations) all of that is pure launch overhead.
 //
-// This layer caches the finished product: a `prepared_entry` holds the
-// validated frame, its plan, the erased loop_launch, and the
-// preallocated per-worker reduction slots.  The first invocation at a
-// call site *captures* the entry; subsequent invocations *replay* it —
-// re-emplacing the kernel (fresh by-value lambda captures), rebinding
-// global-argument pointers (dataflow passes a different &rms[slot] per
-// iteration), and dispatching the already-erased launch.  A sequential
-// replay performs no heap allocation and no plan-cache lookup; the
-// launch_overhead microbenchmark gates both properties in check.sh.
+// This layer caches the finished product: a `launch_entry` holds the
+// validated frame — a loop_frame for one loop, or a fused_frame for a
+// fused group (op2/fused_loop.hpp) — its plan, the erased loop_launch,
+// the preallocated per-worker reduction slots and the grain
+// controllers.  The first invocation at a call site *captures* the
+// entry; subsequent invocations *replay* it — re-emplacing each kernel
+// (fresh by-value lambda captures), rebinding global-argument pointers
+// (dataflow passes a different &rms[slot] per iteration), and
+// dispatching the already-erased launch.  op_par_loop,
+// op_par_loop_async, op_par_loop_fused and the dataflow node bodies all
+// take the same route: hold_entry (replay or capture), then dispatch.
+// A sequential replay performs no heap allocation and no plan-cache
+// lookup; the launch_overhead microbenchmark gates both properties in
+// check.sh.
 //
 // A cached entry is replayed only while it is provably current:
 //   - the runtime epoch matches (every op2::init/finalize bumps it —
@@ -26,17 +32,22 @@
 //     a later resize returns the set to its captured size),
 //   - every dat argument still has the storage version its raw views
 //     were bound against (op_dat::resize bumps it),
-//   - the same (name, set, dat/map/idx/dim/acc) argument identity is
-//     requested, and
+//   - the same (member names, set, dat/map/idx/dim/acc) argument
+//     identity is requested, and
 //   - the fault injector is idle (armed invocations carry one-shot
 //     fire state that must never be cached) and config.prepared_loops
 //     is on (OP2_PREPARED=off is the control arm).
-// Anything else falls back to the classic one-shot build, which is
-// always correct.  Entries also bounce to one-shot while a previous
-// replay of the same entry is still in flight (async overlap of one
-// call site with itself), via a lock-free in_flight flag.
+// Anything else falls back to a one-shot build, which is always
+// correct:
+//   OP2_PREPARED=off/faults  every member runs one-shot and unfused
+//                            (named fault arming keys on member names)
+//   busy / stale entry       the frame is rebuilt and run uncached
+// An entry is busy while a previous dispatch of it is still in flight
+// (async overlap of one call site with itself), via a lock-free
+// in_flight flag.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -44,9 +55,11 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <typeinfo>
 #include <utility>
 
+#include "op2/fusion.hpp"
 #include "op2/par_loop.hpp"
 #include "op2/tuner.hpp"
 
@@ -103,36 +116,81 @@ std::uint64_t arg_version(const op_arg<T>& a) {
   return a.is_global() ? 0 : a.dat.version();
 }
 
-/// One captured launch descriptor: everything needed to replay.
-template <typename Kernel, typename... T>
-struct prepared_entry {
+/// One captured launch: everything needed to replay the members M...
+/// as one `Frame`.  Member names and argument keys sit in flat arrays,
+/// so the replay identity check allocates nothing.
+template <typename Frame, typename... M>
+struct launch_entry {
+  using frame_type = Frame;
+  static constexpr std::size_t nmembers = sizeof...(M);
+  static constexpr std::size_t nargs = (0 + ... + M::arity);
+  using key_array = std::array<arg_key, nargs>;
+  using version_array = std::array<std::uint64_t, nargs>;
+
+  std::array<std::string, nmembers> names;
   const void* set_id = nullptr;
   int set_size = 0;
   std::uint64_t set_version = 0;
   std::uint64_t epoch = 0;
-  std::array<arg_key, sizeof...(T)> keys{};
-  std::array<std::uint64_t, sizeof...(T)> dat_versions{};
-  std::shared_ptr<loop_frame<Kernel, T...>> frame;
+  key_array keys{};
+  version_array dat_versions{};
+  std::shared_ptr<Frame> frame;
   loop_launch launch;
-  /// Adaptive grain controller for this loop site (null when the tuner
-  /// is off, the backend ignores chunk specs, or an explicit chunker
-  /// was configured).  When set, launch.chunk is an adaptive spec
-  /// reading the controller, and every dispatch feeds its wall time
-  /// back — the replacement for the auto-partitioner's serial probe.
+  /// Adaptive grain controller for this site (null when the tuner is
+  /// off, the backend ignores chunk specs, or an explicit chunker was
+  /// configured).  When set, launch.chunk is an adaptive spec reading
+  /// the controller, and every dispatch feeds its wall time back — the
+  /// replacement for the auto-partitioner's serial probe.
   std::shared_ptr<hpxlite::grain_controller> tuner;
-  /// True while a replay of this entry is executing; a second
+  /// Fused frames only: the stable id stamped on the profiling row
+  /// (op_timing_output's fgroup column), and the resolved OP2_TILE — a
+  /// fixed element count, or 0 with tile_tuner when OP2_TILE=auto (the
+  /// tuner's second dimension, keyed "<name>#tile" so chunk samples
+  /// stay untainted).
+  std::uint64_t group_id = 0;
+  int fixed_tile = 0;
+  std::shared_ptr<hpxlite::grain_controller> tile_tuner;
+  /// True while a dispatch of this entry is executing; a second
   /// overlapping invocation of the same call site must not share the
-  /// frame's kernel slot and reduction scratch, so it takes the
-  /// one-shot path instead.
+  /// frame's kernel slots and reduction scratch, so it runs one-shot.
   std::atomic<bool> in_flight{false};
+
+  template <typename Names>
+  bool same_site(const Names& other, const void* set,
+                 const key_array& k) const {
+    return set_id == set && keys == k &&
+           std::equal(names.begin(), names.end(), other.begin());
+  }
 };
 
-/// Releases an entry's in_flight flag on scope exit (exception-safe).
+template <typename Kernel, typename... T>
+using single_entry =
+    launch_entry<loop_frame<Kernel, T...>, loop_member<Kernel, T...>>;
+
+/// The members' argument keys and dat versions, flattened in order.
+template <typename Entry, typename... M>
+void fill_keys(typename Entry::key_array& keys,
+               typename Entry::version_array& versions, const M&... members) {
+  std::size_t i = 0;
+  const auto add = [&](const auto& a) {
+    keys[i] = make_arg_key(a);
+    versions[i] = arg_version(a);
+    ++i;
+  };
+  (std::apply([&](const auto&... a) { (add(a), ...); }, members.args), ...);
+}
+
+/// Clears an entry's in_flight flag on scope exit (exception-safe).
 /// release() disarms the guard once responsibility for clearing the
 /// flag has moved elsewhere (the async path's completion continuation).
 template <typename Entry>
 struct flight_guard {
   std::shared_ptr<Entry> entry;
+
+  flight_guard() = default;
+  explicit flight_guard(std::shared_ptr<Entry> e) : entry(std::move(e)) {}
+  flight_guard(flight_guard&&) noexcept = default;
+  flight_guard& operator=(flight_guard&&) = delete;
   void release() { entry.reset(); }
   ~flight_guard() {
     if (entry) {
@@ -141,35 +199,35 @@ struct flight_guard {
   }
 };
 
-/// Small fixed-capacity cache keyed by (name, set, argument identity).
-/// One cache exists per <Kernel, T...> instantiation (every lambda is
-/// its own type, so lambda call sites get a private cache; function
-/// -pointer kernels of one signature share a cache and distinguish
-/// themselves by loop name).  Capacity 8 covers a call site cycling
-/// through a handful of sets/dats; beyond that a round-robin victim is
-/// evicted — replay degrades to recapture, never to wrong results.
-template <typename Kernel, typename... T>
-class call_site_cache final : public prepared_cache_base {
+/// Small fixed-capacity cache keyed by (member names, set, argument
+/// identity).  One cache exists per entry type and owner: the implicit
+/// caches are per <Kernel, T...> instantiation (every lambda is its own
+/// type, so lambda call sites get a private cache; function-pointer
+/// kernels of one signature share a cache and distinguish themselves by
+/// loop name), and each loop_handle owns its own.  Capacity 8 covers a
+/// call site cycling through a handful of sets/dats — the sharded
+/// Airfoil driver replays one textual call site against a different
+/// owned set per shard; beyond that a round-robin victim is evicted —
+/// replay degrades to recapture, never to wrong results.
+template <typename Entry>
+class launch_cache final : public prepared_cache_base {
  public:
-  using entry = prepared_entry<Kernel, T...>;
-
-  std::shared_ptr<entry> find(const char* name, const void* set_id,
-                              const std::array<arg_key, sizeof...(T)>& keys) {
+  std::shared_ptr<Entry> find(
+      const std::array<const char*, Entry::nmembers>& names,
+      const void* set_id, const typename Entry::key_array& keys) {
     std::lock_guard<hpxlite::spinlock> lock(lock_);
     for (const auto& e : entries_) {
-      if (e && e->set_id == set_id && e->keys == keys &&
-          e->launch.name == name) {
+      if (e && e->same_site(names, set_id, keys)) {
         return e;
       }
     }
     return nullptr;
   }
 
-  void store(std::shared_ptr<entry> e) {
+  void store(std::shared_ptr<Entry> e) {
     std::lock_guard<hpxlite::spinlock> lock(lock_);
     for (auto& slot : entries_) {
-      if (slot && slot->set_id == e->set_id && slot->keys == e->keys &&
-          slot->launch.name == e->launch.name) {
+      if (slot && slot->same_site(e->names, e->set_id, e->keys)) {
         slot = std::move(e);  // replace a stale same-identity entry
         return;
       }
@@ -194,41 +252,21 @@ class call_site_cache final : public prepared_cache_base {
 
  private:
   hpxlite::spinlock lock_;
-  std::array<std::shared_ptr<entry>, 8> entries_{};
+  std::array<std::shared_ptr<Entry>, 8> entries_{};
   std::size_t victim_ = 0;
 };
 
-/// The implicit per-instantiation cache behind the classic API (no
-/// handle at the call site).  Registered once with the teardown
-/// registry; lives for the process.
-template <typename Kernel, typename... T>
-const std::shared_ptr<call_site_cache<Kernel, T...>>& site_cache() {
-  static const std::shared_ptr<call_site_cache<Kernel, T...>> cache = [] {
-    auto c = std::make_shared<call_site_cache<Kernel, T...>>();
+/// The implicit per-instantiation cache behind call sites without a
+/// handle.  Registered once with the teardown registry; lives for the
+/// process.
+template <typename Entry>
+const std::shared_ptr<launch_cache<Entry>>& site_cache() {
+  static const std::shared_ptr<launch_cache<Entry>> cache = [] {
+    auto c = std::make_shared<launch_cache<Entry>>();
     register_prepared_cache(c);
     return c;
   }();
   return cache;
-}
-
-/// Replay-time rebinding of global-argument pointers: the cached frame
-/// may hold &rms from a previous iteration while the caller now passes
-/// a different target (the dataflow driver rotates reduction slots).
-template <typename U>
-void rebind_one(op_arg<U>& cached, bound_arg<U>& view,
-                const op_arg<U>& fresh) {
-  if (cached.gbl != nullptr) {
-    cached.gbl = fresh.gbl;
-    view.gbl = fresh.gbl;
-  }
-}
-
-template <typename Frame, typename Tuple, std::size_t... Is>
-void rebind_globals_impl(Frame& frame, const Tuple& fresh,
-                         std::index_sequence<Is...>) {
-  (rebind_one(std::get<Is>(frame.args), std::get<Is>(frame.bound),
-              std::get<Is>(fresh)),
-   ...);
 }
 
 /// True while `e` may be replayed for (set, args) as they stand now.
@@ -237,46 +275,50 @@ void rebind_globals_impl(Frame& frame, const Tuple& fresh,
 /// them under a different shard_context (or outside any shard_scope)
 /// would run the wrong iteration window.  Per-shard sets make per-shard
 /// entries distinct anyway; this check catches the rest.
-template <typename Kernel, typename... T>
-bool entry_valid(const prepared_entry<Kernel, T...>& e, const op_set& set,
-                 const std::array<std::uint64_t, sizeof...(T)>& versions) {
+template <typename Entry>
+bool entry_valid(const Entry& e, const op_set& set,
+                 const typename Entry::version_array& versions) {
   return e.epoch == prepared_epoch() && e.set_size == set.size() &&
          e.set_version == set.version() && e.dat_versions == versions &&
          e.launch.shard == current_shard_context();
 }
 
-/// The classic one-shot build: always correct, used for cache misses,
-/// stale entries, busy entries, armed faults, and OP2_PREPARED=off.
-template <typename Kernel, typename... T>
-loop_launch one_shot_launch(Kernel kernel, const char* name,
-                            const op_set& set, op_arg<T>... args) {
-  return erase_frame(
-      make_frame(name, set, std::move(kernel), std::move(args)...));
-}
-
-/// Captures a fresh prepared entry for (kernel, name, set, args).
-template <typename Kernel, typename... T>
-std::shared_ptr<prepared_entry<Kernel, T...>> capture_entry(
-    loop_executor& exec, const std::array<arg_key, sizeof...(T)>& keys,
-    Kernel kernel, const char* name, const op_set& set, op_arg<T>... args) {
-  auto e = std::make_shared<prepared_entry<Kernel, T...>>();
+/// Captures a fresh entry for the members over `set`.
+template <typename Entry, typename... M>
+std::shared_ptr<Entry> capture_entry(
+    loop_executor& exec, const typename Entry::key_array& keys,
+    const typename Entry::version_array& versions, const op_set& set,
+    M... members) {
+  using Frame = typename Entry::frame_type;
+  auto e = std::make_shared<Entry>();
+  e->names = {std::string(members.name)...};
   e->keys = keys;
-  e->dat_versions = {arg_version(args)...};
-  // make_frame validates first — only afterwards is it safe to query
-  // the set (an invalid set must throw here, not crash).
-  e->frame = make_frame(name, set, std::move(kernel), std::move(args)...);
+  e->dat_versions = versions;
+  // build validates first — only afterwards is it safe to query the
+  // set (an invalid set must throw here, not crash).
+  e->frame = Frame::build(set, std::move(members)...);
   e->set_id = set.id();
   e->set_size = set.size();
   e->set_version = set.version();
   e->epoch = prepared_epoch();
   e->launch = erase_frame(e->frame);
+  const auto size = static_cast<std::size_t>(e->set_size);
   // Attach the per-site grain controller when the configuration wants
   // the loop tuned: the cached launch's chunk spec becomes adaptive,
-  // and the dispatch helpers below feed every run's wall time back.
+  // and dispatch feeds every run's wall time back.
   if (tuner::applicable(exec)) {
-    e->tuner = tuner::acquire(e->launch.name,
-                              static_cast<std::size_t>(e->set_size));
+    e->tuner = tuner::acquire(e->launch.name, size);
     e->launch.chunk = hpxlite::adaptive_chunk_size{e->tuner};
+  }
+  if constexpr (Frame::fused) {
+    e->group_id = fusion::next_fused_group_id();
+    const config& cfg = current_config();
+    const int tile_spec = parse_tile_spec(cfg.tile);
+    if (tile_spec > 0) {
+      e->fixed_tile = tile_spec;
+    } else if (tile_spec < 0 && cfg.tuner != tuner_mode::off) {
+      e->tile_tuner = tuner::acquire(e->launch.name + "#tile", size);
+    }
   }
   // Replays must record without a string-keyed lookup, so the slot is
   // pinned at capture regardless of whether profiling is on right now.
@@ -288,148 +330,181 @@ std::shared_ptr<prepared_entry<Kernel, T...>> capture_entry(
   return e;
 }
 
-/// Feeds one completed dispatch's wall time to the entry's controller
-/// and mirrors its decision into the profiling columns.
-template <typename Entry>
-void feed_tuner(const std::shared_ptr<Entry>& e,
-                std::chrono::steady_clock::time_point t0) {
-  e->tuner->feed(std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
-  profiling::record_tuner(e->launch.prof, e->tuner->current_chunk(),
-                          hpxlite::to_string(e->tuner->current_state()));
-}
-
-/// Synchronous dispatch of a prepared entry, timing the run for the
-/// tuner when one is attached (failed runs propagate before the feed,
-/// so exceptions never poison the controller's samples).
-template <typename Entry>
-void run_prepared_entry(loop_executor& exec, const std::shared_ptr<Entry>& e,
-                        const failure_policy& policy) {
-  if (!e->tuner) {
-    run_loop_protected(exec, e->launch, policy);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  run_loop_protected(exec, e->launch, policy);
-  feed_tuner(e, t0);
-}
-
-/// Synchronous prepared dispatch: replay the cached entry when valid,
-/// else capture (or fall back to one-shot).  This is the body of both
-/// the classic op_par_loop and the dataflow node fire.
-template <typename Kernel, typename... T>
-void run_prepared_sync(
-    const std::shared_ptr<call_site_cache<Kernel, T...>>& cache,
-    loop_executor& exec, const failure_policy& policy, Kernel kernel,
-    const char* name, const op_set& set, op_arg<T>... args) {
-  if (!current_config().prepared_loops || fault_injector::active()) {
-    run_loop_protected(
-        exec, one_shot_launch(std::move(kernel), name, set, std::move(args)...),
-        policy);
-    return;
-  }
-  const std::array<arg_key, sizeof...(T)> keys{make_arg_key(args)...};
-  const std::array<std::uint64_t, sizeof...(T)> versions{
-      arg_version(args)...};
-  if (auto e = cache->find(name, set.id(), keys);
+/// Replay or capture: the entry for this invocation, held in flight, or
+/// an empty guard when the cached entry is busy (async overlap of one
+/// call site with itself) and the invocation must run one-shot.  The
+/// members are consumed only when an entry is returned.
+template <typename Entry, typename... M>
+flight_guard<Entry> hold_entry(launch_cache<Entry>& cache,
+                               loop_executor& exec,
+                               const failure_policy& policy,
+                               const op_set& set, M&... members) {
+  const std::array<const char*, sizeof...(M)> names{members.name...};
+  typename Entry::key_array keys{};
+  typename Entry::version_array versions{};
+  fill_keys<Entry>(keys, versions, members...);
+  if (auto e = cache.find(names, set.id(), keys);
       e && entry_valid(*e, set, versions)) {
     bool expected = false;
-    if (e->in_flight.compare_exchange_strong(expected, true,
-                                             std::memory_order_acq_rel)) {
-      flight_guard<prepared_entry<Kernel, T...>> guard{e};
-      e->frame->kernel.emplace(std::move(kernel));
-      rebind_globals_impl(*e->frame, std::forward_as_tuple(args...),
-                          std::index_sequence_for<T...>{});
-      if (policy.enabled()) {
-        // The rollback snapshot targets may include rebound globals.
-        e->launch.writes = collect_write_targets(*e->frame);
-      }
-      profiling::record_replay(e->launch.prof);
-      run_prepared_entry(exec, e, policy);
-      return;
+    if (!e->in_flight.compare_exchange_strong(expected, true,
+                                              std::memory_order_acq_rel)) {
+      return {};
     }
-    // The entry is mid-execution (async overlap with ourselves):
-    // run this invocation unshared.
-    run_loop_protected(
-        exec, one_shot_launch(std::move(kernel), name, set, std::move(args)...),
-        policy);
-    return;
-  }
-  auto e = capture_entry(exec, keys, std::move(kernel), name, set,
-                         std::move(args)...);
-  e->in_flight.store(true, std::memory_order_release);
-  cache->store(e);
-  flight_guard<prepared_entry<Kernel, T...>> guard{e};
-  run_prepared_entry(exec, e, policy);
-}
-
-/// Asynchronous prepared dispatch: like run_prepared_sync, but the
-/// entry stays in flight until the returned future is ready.
-template <typename Kernel, typename... T>
-hpxlite::future<void> run_prepared_async(
-    const std::shared_ptr<call_site_cache<Kernel, T...>>& cache,
-    loop_executor& exec, const failure_policy& policy, Kernel kernel,
-    const char* name, const op_set& set, op_arg<T>... args) {
-  if (!current_config().prepared_loops || fault_injector::active()) {
-    return launch_loop_protected(
-        exec, one_shot_launch(std::move(kernel), name, set, std::move(args)...),
-        policy);
-  }
-  const std::array<arg_key, sizeof...(T)> keys{make_arg_key(args)...};
-  const std::array<std::uint64_t, sizeof...(T)> versions{
-      arg_version(args)...};
-  std::shared_ptr<prepared_entry<Kernel, T...>> e;
-  if (auto found = cache->find(name, set.id(), keys);
-      found && entry_valid(*found, set, versions)) {
-    bool expected = false;
-    if (!found->in_flight.compare_exchange_strong(
-            expected, true, std::memory_order_acq_rel)) {
-      // The entry is mid-execution (async overlap with ourselves):
-      // run this invocation unshared.
-      return launch_loop_protected(
-          exec,
-          one_shot_launch(std::move(kernel), name, set, std::move(args)...),
-          policy);
-    }
-    e = std::move(found);
-  }
-  // Armed from here until the clearing continuation is attached: a
-  // throw anywhere below (rebinding, write-target collection, a
-  // synchronously-failing launch, the continuation allocation) must
-  // not leave in_flight latched, or this entry would bounce every
-  // future invocation to the one-shot path for the rest of the run.
-  flight_guard<prepared_entry<Kernel, T...>> guard{e};
-  if (e) {
-    e->frame->kernel.emplace(std::move(kernel));
-    rebind_globals_impl(*e->frame, std::forward_as_tuple(args...),
-                        std::index_sequence_for<T...>{});
+    flight_guard<Entry> held(e);
+    e->frame->rebind(members...);
     if (policy.enabled()) {
+      // The rollback snapshot targets may include rebound globals.
       e->launch.writes = collect_write_targets(*e->frame);
     }
     profiling::record_replay(e->launch.prof);
-  } else {
-    e = capture_entry(exec, keys, std::move(kernel), name, set,
-                      std::move(args)...);
-    e->in_flight.store(true, std::memory_order_release);
-    guard.entry = e;
-    cache->store(e);
+    return held;
   }
+  auto e = capture_entry<Entry>(exec, keys, versions, set,
+                                std::move(members)...);
+  e->in_flight.store(true, std::memory_order_release);
+  flight_guard<Entry> held(e);
+  cache.store(e);
+  return held;
+}
+
+/// The tile a fused dispatch runs with: the fixed OP2_TILE, or the tile
+/// controller's current calibration (a tile covering the set
+/// degenerates to untiled).
+template <typename Entry>
+int resolve_tile(const Entry& e) {
+  if (e.tile_tuner) {
+    const std::size_t c = e.tile_tuner->current_chunk();
+    if (c == 0 || c >= static_cast<std::size_t>(e.set_size)) {
+      return 0;
+    }
+    return static_cast<int>(c);
+  }
+  return e.fixed_tile;
+}
+
+/// Feeds one successful dispatch's wall time (since t0) to the entry's
+/// controllers and mirrors the chunk decision into the profiling
+/// columns.  Failed runs never get here, so exceptions never poison the
+/// controllers' samples.
+template <typename Entry>
+void feed_tuners(Entry& e, std::chrono::steady_clock::time_point t0) {
+  if (!e.tuner && !e.tile_tuner) {
+    return;
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  if (e.tuner) {
+    e.tuner->feed(seconds);
+    profiling::record_tuner(e.launch.prof, e.tuner->current_chunk(),
+                            hpxlite::to_string(e.tuner->current_state()));
+  }
+  if (e.tile_tuner) {
+    e.tile_tuner->feed(seconds);
+  }
+}
+
+template <typename Entry>
+std::chrono::steady_clock::time_point tuner_clock(const Entry& e) {
+  return e.tuner || e.tile_tuner ? std::chrono::steady_clock::now()
+                                 : std::chrono::steady_clock::time_point{};
+}
+
+/// Synchronous dispatch of a held entry.
+template <typename Entry>
+void dispatch(loop_executor& exec, Entry& e, const failure_policy& policy,
+              int steps) {
+  if constexpr (Entry::frame_type::fused) {
+    // Written only while the entry is held in flight, read by the
+    // erased closures.
+    e.frame->steps = steps;
+    e.frame->tile = resolve_tile(e);
+    profiling::record_fusion(e.launch.prof, e.group_id, Entry::nmembers,
+                             static_cast<std::uint64_t>(e.frame->tile));
+  }
+  const auto t0 = tuner_clock(e);
+  run_loop_protected(exec, e.launch, policy);
+  feed_tuners(e, t0);
+}
+
+/// Synchronous launch of the members as one frame of Entry's kind,
+/// `steps` times over (steps > 1 only for fused frames): replay or
+/// capture the cached entry, else run one-shot.  The body of
+/// op_par_loop, op_par_loop_fused and every dataflow node.
+template <typename Entry, typename... M>
+void run_sync(launch_cache<Entry>& cache, loop_executor& exec,
+              const failure_policy& policy, const op_set& set, int steps,
+              M... members) {
+  using Frame = typename Entry::frame_type;
+  const config& cfg = current_config();
+  if constexpr (Frame::fused) {
+    if (!cfg.fuse) {
+      // OP2_FUSE=off control arm: the members run as individual
+      // prepared loops in program order — bit-identical to the fused
+      // schedule (same per-element program order, same reduction merge
+      // order).
+      for (int s = 0; s < steps; ++s) {
+        (run_sync(*site_cache<launch_entry<typename M::frame, M>>(), exec,
+                  policy, set, 1, members),
+         ...);
+      }
+      return;
+    }
+  }
+  if (!cfg.prepared_loops || fault_injector::active()) {
+    for (int s = 0; s < steps; ++s) {
+      (run_loop_protected(exec, erase_frame(M::frame::build(set, members)),
+                          policy),
+       ...);
+    }
+    return;
+  }
+  if (auto held = hold_entry(cache, exec, policy, set, members...);
+      held.entry) {
+    dispatch(exec, *held.entry, policy, steps);
+    return;
+  }
+  auto frame = Frame::build(set, std::move(members)...);
+  if constexpr (Frame::fused) {
+    frame->steps = steps;
+    const int tile_spec = parse_tile_spec(cfg.tile);
+    frame->tile = tile_spec > 0 ? tile_spec : 0;
+  }
+  run_loop_protected(exec, erase_frame(std::move(frame)), policy);
+}
+
+/// Asynchronous launch of one loop: like run_sync, but the entry stays
+/// in flight until the returned future is ready.
+template <typename Entry, typename M>
+hpxlite::future<void> run_async(launch_cache<Entry>& cache,
+                                loop_executor& exec,
+                                const failure_policy& policy,
+                                const op_set& set, M member) {
+  const auto one_shot = [&] {
+    return launch_loop_protected(
+        exec, erase_frame(M::frame::build(set, std::move(member))), policy);
+  };
+  if (!current_config().prepared_loops || fault_injector::active()) {
+    return one_shot();
+  }
+  auto held = hold_entry(cache, exec, policy, set, member);
+  if (!held.entry) {
+    return one_shot();
+  }
+  const auto e = held.entry;
   // Tuner timing spans launch to completion (measured in the clearing
   // continuation, which runs before the entry can be replayed again).
-  const auto tuner_t0 = e->tuner ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
+  const auto t0 = tuner_clock(*e);
   auto done = launch_loop_protected(exec, e->launch, policy);
-  auto chained = done.then([e, tuner_t0](hpxlite::future<void>&& f) {
+  auto chained = done.then([e, t0](hpxlite::future<void>&& f) {
     std::exception_ptr err;
     try {
       f.get();
     } catch (...) {
       err = std::current_exception();
     }
-    if (!err && e->tuner) {
-      // Only successful runs feed the controller, as on the sync path.
-      feed_tuner(e, tuner_t0);
+    if (!err) {
+      feed_tuners(*e, t0);
     }
     e->in_flight.store(false, std::memory_order_release);
     if (err) {
@@ -437,17 +512,14 @@ hpxlite::future<void> run_prepared_async(
     }
   });
   // The continuation now owns clearing in_flight; disarm the guard.
-  // (If the loop already finished and the continuation already ran,
-  // the guard would merely store false a second time — harmless —
-  // but disarming keeps the clear single-sourced.)
-  guard.release();
+  held.release();
   return chained;
 }
 
 }  // namespace detail
 
-/// Explicit per-call-site prepared-loop cache, for generated code and
-/// hand-written drivers:
+/// Explicit per-call-site launch cache, for generated code and
+/// hand-written drivers, serving single and fused launches alike:
 ///
 ///   static op2::loop_handle handle;
 ///   op2::op_par_loop(handle, kernel, "name", set, args...);
@@ -472,9 +544,9 @@ class loop_handle {
   }
 
   /// The typed cache for this site, created on first use.
-  template <typename Kernel, typename... T>
-  std::shared_ptr<detail::call_site_cache<Kernel, T...>> cache() {
-    using cache_t = detail::call_site_cache<Kernel, T...>;
+  template <typename Entry>
+  std::shared_ptr<detail::launch_cache<Entry>> cache() {
+    using cache_t = detail::launch_cache<Entry>;
     std::lock_guard<hpxlite::spinlock> lock(lock_);
     if (!cache_ || type_ != &typeid(cache_t)) {
       auto c = std::make_shared<cache_t>();
@@ -501,9 +573,10 @@ class loop_handle {
 template <typename Kernel, typename... T>
 void op_par_loop(Kernel kernel, const char* name, const op_set& set,
                  op_arg<T>... args) {
-  detail::run_prepared_sync(detail::site_cache<Kernel, T...>(),
-                            current_executor(), effective_failure_policy(),
-                            std::move(kernel), name, set, std::move(args)...);
+  detail::run_sync(*detail::site_cache<detail::single_entry<Kernel, T...>>(),
+                   current_executor(), effective_failure_policy(), set, 1,
+                   detail::loop_member<Kernel, T...>{
+                       name, std::move(kernel), {std::move(args)...}});
 }
 
 /// §III-A2 API: returns a future for the loop's completion; the caller
@@ -515,29 +588,32 @@ void op_par_loop(Kernel kernel, const char* name, const op_set& set,
 template <typename Kernel, typename... T>
 hpxlite::future<void> op_par_loop_async(Kernel kernel, const char* name,
                                         const op_set& set, op_arg<T>... args) {
-  return detail::run_prepared_async(
-      detail::site_cache<Kernel, T...>(), current_executor(),
-      effective_failure_policy(), std::move(kernel), name, set,
-      std::move(args)...);
+  return detail::run_async(
+      *detail::site_cache<detail::single_entry<Kernel, T...>>(),
+      current_executor(), effective_failure_policy(), set,
+      detail::loop_member<Kernel, T...>{name, std::move(kernel),
+                                        {std::move(args)...}});
 }
 
 /// Handle-explicit flavours (what the code generator emits).
 template <typename Kernel, typename... T>
 void op_par_loop(loop_handle& handle, Kernel kernel, const char* name,
                  const op_set& set, op_arg<T>... args) {
-  detail::run_prepared_sync(handle.cache<Kernel, T...>(), current_executor(),
-                            effective_failure_policy(), std::move(kernel),
-                            name, set, std::move(args)...);
+  detail::run_sync(*handle.cache<detail::single_entry<Kernel, T...>>(),
+                   current_executor(), effective_failure_policy(), set, 1,
+                   detail::loop_member<Kernel, T...>{
+                       name, std::move(kernel), {std::move(args)...}});
 }
 
 template <typename Kernel, typename... T>
 hpxlite::future<void> op_par_loop_async(loop_handle& handle, Kernel kernel,
                                         const char* name, const op_set& set,
                                         op_arg<T>... args) {
-  return detail::run_prepared_async(
-      handle.cache<Kernel, T...>(), current_executor(),
-      effective_failure_policy(), std::move(kernel), name, set,
-      std::move(args)...);
+  return detail::run_async(
+      *handle.cache<detail::single_entry<Kernel, T...>>(), current_executor(),
+      effective_failure_policy(), set,
+      detail::loop_member<Kernel, T...>{name, std::move(kernel),
+                                        {std::move(args)...}});
 }
 
 }  // namespace op2

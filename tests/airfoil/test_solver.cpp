@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,10 @@ struct model_case {
   unsigned threads;
   run_result (*runner)(sim&, int);
 };
+
+// gtest would otherwise print the raw bytes, string and function pointers
+// included, and the printed parameter is part of the test's name.
+void PrintTo(const model_case& c, std::ostream* os) { *os << c.name; }
 
 class SolverEquivalence : public ::testing::TestWithParam<model_case> {};
 

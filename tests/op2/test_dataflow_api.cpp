@@ -38,6 +38,29 @@ TEST_F(DataflowApiTest, SingleLoopCompletes) {
   }
 }
 
+// A node's future is installed into the bookkeeping of every dat it
+// touches, so a node that also owned that bookkeeping would form a
+// cycle keeping both alive for the rest of the process.
+TEST_F(DataflowApiTest, CompletedNodesDoNotOwnDatBookkeeping) {
+  auto s = op_decl_set(64, "s");
+  std::vector<double> init(64, 1.0);
+  op_dat_df a(op_decl_dat<double>(s, 1, "double",
+                                  std::span<const double>(init), "a"));
+  op_dat_df b(op_decl_dat<double>(s, 1, "double", "b"));
+  loop_handle h;
+  op_par_loop(scale2, "x2", s, op_arg_dat1<double>(a, -1, OP_ID, 1, OP_READ),
+              op_arg_dat1<double>(b, -1, OP_ID, 1, OP_WRITE));
+  op_par_loop_fused(
+      h, s,
+      fuse_loop(scale2, "x2_fused",
+                op_arg_dat1<double>(b, -1, OP_ID, 1, OP_READ),
+                op_arg_dat1<double>(a, -1, OP_ID, 1, OP_WRITE)));
+  a.get();
+  b.get();
+  EXPECT_EQ(a.sync().use_count(), 1);
+  EXPECT_EQ(b.sync().use_count(), 1);
+}
+
 TEST_F(DataflowApiTest, ChainOrdersRawDependencies) {
   // b = 2a; c = 2b; d = 2c — the tree must serialise the chain.
   auto s = op_decl_set(500, "s");

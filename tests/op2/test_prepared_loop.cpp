@@ -4,11 +4,12 @@
 //   - the first invocation at a call site captures, repeats replay
 //     (observed through the profiling captures/replays counters);
 //   - a resized dat, a resized set, a changed block_size and a changed
-//     static_chunk each force a re-capture;
+//     static_chunk each force a re-capture, at a single-loop site and at
+//     a fused site alike;
 //   - OP2_PREPARED / config::prepared_loops force the one-shot path
 //     (the control arm), and loop_handle::invalidate drops a descriptor;
 //   - globals are rebound per replay (results land in the caller's
-//     current pointer, not the captured one);
+//     current pointer, not the captured one), single and fused;
 //   - backend x loop equivalence matrix: replayed results match the
 //     one-shot path under every registered backend, for the classic,
 //     async and dataflow APIs;
@@ -114,17 +115,50 @@ loop_profile profile_of(const std::string& name) {
 // Counter-level lifecycle: capture once, replay many.
 // ---------------------------------------------------------------------
 
+// The recapture triggers are properties of the one capture/replay core,
+// so each is checked at both kinds of call site: a single op_par_loop,
+// and a fused site (a one-member op_par_loop_fused, whose profiling row
+// carries the member's name).
+enum class site_kind { single, fused };
+
+const char* to_string(site_kind kind) {
+  return kind == site_kind::single ? "single-loop site" : "fused site";
+}
+
+template <typename Kernel, typename... T>
+void run_at(site_kind kind, loop_handle& h, Kernel kernel, const char* name,
+            const op_set& set, op_arg<T>... args) {
+  if (kind == site_kind::single) {
+    op_par_loop(h, kernel, name, set, args...);
+  } else {
+    op_par_loop_fused(h, set, fuse_loop(kernel, name, args...));
+  }
+}
+
 class PreparedLoopTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    op2::init(make_config("seq", 1, 16));
-    profiling::reset();
-    profiling::enable(true);
-  }
+  void SetUp() override { start(); }
   void TearDown() override {
     profiling::enable(false);
     profiling::reset();
     op2::finalize();
+  }
+
+  static void start() {
+    op2::init(make_config("seq", 1, 16));
+    profiling::reset();
+    profiling::enable(true);
+  }
+
+  /// Runs `body` once per site kind, each from a fresh runtime and
+  /// profile.
+  template <typename Body>
+  static void for_each_site(Body body) {
+    for (const site_kind kind : {site_kind::single, site_kind::fused}) {
+      SCOPED_TRACE(to_string(kind));
+      start();
+      body(kind);
+    }
   }
 };
 
@@ -145,85 +179,93 @@ TEST_F(PreparedLoopTest, CaptureOnceThenReplay) {
 }
 
 TEST_F(PreparedLoopTest, ResizedDatForcesRecapture) {
-  auto m = make_ring(64);
-  loop_handle h;
-  double acc = 0.0;
-  auto run = [&] {
-    op_par_loop(h, scale_add, "pl_dat_resize", m.cells,
-                op_arg_dat<double>(m.p_x, -1, OP_ID, 1, OP_READ),
-                op_arg_dat<double>(m.p_y, -1, OP_ID, 1, OP_WRITE),
-                op_arg_gbl<double>(&acc, 1, OP_INC));
-  };
-  run();
-  run();
-  EXPECT_EQ(profile_of("pl_dat_resize").captures, 1u);
-  // Refit (even to the same size) bumps the dat version: the storage
-  // may have moved, so the cached raw views are stale.
-  m.p_y.resize();
-  run();
-  EXPECT_EQ(profile_of("pl_dat_resize").captures, 2u);
-  EXPECT_EQ(profile_of("pl_dat_resize").replays, 1u);
+  for_each_site([](site_kind kind) {
+    auto m = make_ring(64);
+    loop_handle h;
+    double acc = 0.0;
+    auto run = [&] {
+      run_at(kind, h, scale_add, "pl_dat_resize", m.cells,
+             op_arg_dat<double>(m.p_x, -1, OP_ID, 1, OP_READ),
+             op_arg_dat<double>(m.p_y, -1, OP_ID, 1, OP_WRITE),
+             op_arg_gbl<double>(&acc, 1, OP_INC));
+    };
+    run();
+    run();
+    EXPECT_EQ(profile_of("pl_dat_resize").captures, 1u);
+    // Refit (even to the same size) bumps the dat version: the storage
+    // may have moved, so the cached raw views are stale.
+    m.p_y.resize();
+    run();
+    EXPECT_EQ(profile_of("pl_dat_resize").captures, 2u);
+    EXPECT_EQ(profile_of("pl_dat_resize").replays, 1u);
+  });
 }
 
 TEST_F(PreparedLoopTest, ResizedSetForcesRecaptureAndCoversNewElements) {
-  auto cells = op_decl_set(32, "cells");
-  std::vector<double> x(32, 1.0);
-  auto p_x = op_decl_dat<double>(cells, 1, "double",
-                                 std::span<const double>(x), "p_x");
-  loop_handle h;
-  double total = 0.0;
-  auto run = [&] {
-    op_par_loop(h, sum_to, "pl_set_resize", cells,
-                op_arg_dat<double>(p_x, -1, OP_ID, 1, OP_READ),
-                op_arg_gbl<double>(&total, 1, OP_INC));
-  };
-  run();
-  EXPECT_EQ(total, 32.0);
+  for_each_site([](site_kind kind) {
+    auto cells = op_decl_set(32, "cells");
+    std::vector<double> x(32, 1.0);
+    auto p_x = op_decl_dat<double>(cells, 1, "double",
+                                   std::span<const double>(x), "p_x");
+    loop_handle h;
+    double total = 0.0;
+    auto run = [&] {
+      run_at(kind, h, sum_to, "pl_set_resize", cells,
+             op_arg_dat<double>(p_x, -1, OP_ID, 1, OP_READ),
+             op_arg_gbl<double>(&total, 1, OP_INC));
+    };
+    run();
+    EXPECT_EQ(total, 32.0);
 
-  cells.resize(48);
-  p_x.resize();  // grown elements zero-initialised
-  for (auto& v : p_x.data<double>()) {
-    v = 1.0;
-  }
-  total = 0.0;
-  run();
-  EXPECT_EQ(total, 48.0);  // replaying the stale 32-element plan would miss 16
-  EXPECT_EQ(profile_of("pl_set_resize").captures, 2u);
+    cells.resize(48);
+    p_x.resize();  // grown elements zero-initialised
+    for (auto& v : p_x.data<double>()) {
+      v = 1.0;
+    }
+    total = 0.0;
+    run();
+    EXPECT_EQ(total, 48.0);  // the stale 32-element plan would miss 16
+    EXPECT_EQ(profile_of("pl_set_resize").captures, 2u);
+  });
 }
 
 TEST_F(PreparedLoopTest, ChangedBlockSizeForcesRecapture) {
-  auto m = make_ring(64);
-  loop_handle h;
-  double acc = 0.0;
-  auto run = [&] {
-    op_par_loop(h, scale_add, "pl_blk", m.cells,
-                op_arg_dat<double>(m.p_x, -1, OP_ID, 1, OP_READ),
-                op_arg_dat<double>(m.p_y, -1, OP_ID, 1, OP_WRITE),
-                op_arg_gbl<double>(&acc, 1, OP_INC));
-  };
-  run();
-  run();
-  EXPECT_EQ(profile_of("pl_blk").captures, 1u);
-  op2::init(make_config("seq", 1, 32));  // block_size 16 -> 32
-  run();
-  EXPECT_EQ(profile_of("pl_blk").captures, 2u);
+  for_each_site([](site_kind kind) {
+    auto m = make_ring(64);
+    loop_handle h;
+    double acc = 0.0;
+    auto run = [&] {
+      run_at(kind, h, scale_add, "pl_blk", m.cells,
+             op_arg_dat<double>(m.p_x, -1, OP_ID, 1, OP_READ),
+             op_arg_dat<double>(m.p_y, -1, OP_ID, 1, OP_WRITE),
+             op_arg_gbl<double>(&acc, 1, OP_INC));
+    };
+    run();
+    run();
+    EXPECT_EQ(profile_of("pl_blk").captures, 1u);
+    op2::init(make_config("seq", 1, 32));  // block_size 16 -> 32
+    run();
+    EXPECT_EQ(profile_of("pl_blk").captures, 2u);
+  });
 }
 
 TEST_F(PreparedLoopTest, ChangedStaticChunkForcesRecapture) {
-  auto m = make_ring(64);
-  loop_handle h;
-  double acc = 0.0;
-  auto run = [&] {
-    op_par_loop(h, scale_add, "pl_chunk", m.cells,
-                op_arg_dat<double>(m.p_x, -1, OP_ID, 1, OP_READ),
-                op_arg_dat<double>(m.p_y, -1, OP_ID, 1, OP_WRITE),
-                op_arg_gbl<double>(&acc, 1, OP_INC));
-  };
-  run();
-  EXPECT_EQ(profile_of("pl_chunk").captures, 1u);
-  op2::init(make_config("seq", 1, 16, /*static_chunk=*/4));
-  run();
-  EXPECT_EQ(profile_of("pl_chunk").captures, 2u);
+  for_each_site([](site_kind kind) {
+    auto m = make_ring(64);
+    loop_handle h;
+    double acc = 0.0;
+    auto run = [&] {
+      run_at(kind, h, scale_add, "pl_chunk", m.cells,
+             op_arg_dat<double>(m.p_x, -1, OP_ID, 1, OP_READ),
+             op_arg_dat<double>(m.p_y, -1, OP_ID, 1, OP_WRITE),
+             op_arg_gbl<double>(&acc, 1, OP_INC));
+    };
+    run();
+    EXPECT_EQ(profile_of("pl_chunk").captures, 1u);
+    op2::init(make_config("seq", 1, 16, /*static_chunk=*/4));
+    run();
+    EXPECT_EQ(profile_of("pl_chunk").captures, 2u);
+  });
 }
 
 TEST_F(PreparedLoopTest, HandleInvalidateForcesRecapture) {
@@ -267,21 +309,23 @@ TEST_F(PreparedLoopTest, PreparedOffConfigForcesOneShotPath) {
 }
 
 TEST_F(PreparedLoopTest, GlobalsAreReboundPerReplay) {
-  auto m = make_ring(16);
-  loop_handle h;
-  double first = 0.0;
-  double second = 0.0;
-  auto run = [&](double* acc) {
-    op_par_loop(h, sum_to, "pl_rebind", m.cells,
-                op_arg_dat<double>(m.p_x, -1, OP_ID, 1, OP_READ),
-                op_arg_gbl<double>(acc, 1, OP_INC));
-  };
-  const double expected = 16.0 * 17.0 / 2.0;  // iota 1..16
-  run(&first);
-  run(&second);  // replay must write through the NEW pointer
-  EXPECT_EQ(first, expected);
-  EXPECT_EQ(second, expected);
-  EXPECT_EQ(profile_of("pl_rebind").replays, 1u);
+  for_each_site([](site_kind kind) {
+    auto m = make_ring(16);
+    loop_handle h;
+    double first = 0.0;
+    double second = 0.0;
+    auto run = [&](double* acc) {
+      run_at(kind, h, sum_to, "pl_rebind", m.cells,
+             op_arg_dat<double>(m.p_x, -1, OP_ID, 1, OP_READ),
+             op_arg_gbl<double>(acc, 1, OP_INC));
+    };
+    const double expected = 16.0 * 17.0 / 2.0;  // iota 1..16
+    run(&first);
+    run(&second);  // replay must write through the NEW pointer
+    EXPECT_EQ(first, expected);
+    EXPECT_EQ(second, expected);
+    EXPECT_EQ(profile_of("pl_rebind").replays, 1u);
+  });
 }
 
 TEST(PreparedLoopEnv, Op2PreparedKnobParses) {
@@ -586,23 +630,25 @@ TEST(PreparedContention, OverlappingSameSiteInvocationsLoseNoUpdates) {
 // the check: no dat version changes, the size matches the captured
 // plan again, and only the set's resize-version says it went stale.
 TEST_F(PreparedLoopTest, SetResizeRoundTripStillForcesRecapture) {
-  auto cells = op_decl_set(64, "cells");
-  loop_handle h;
-  double total = 0.0;
-  const auto run = [&] {
-    op_par_loop(h, count_one, "pl_roundtrip", cells,
-                op_arg_gbl<double>(&total, 1, OP_INC));
-  };
-  run();
-  run();
-  EXPECT_EQ(profile_of("pl_roundtrip").captures, 1u);
-  // Shrink and grow back to 64: size matches the captured entry again,
-  // but the resize-version does not.
-  cells.resize(32);
-  cells.resize(64);
-  run();
-  EXPECT_EQ(profile_of("pl_roundtrip").captures, 2u);
-  EXPECT_EQ(total, 3.0 * 64.0);
+  for_each_site([](site_kind kind) {
+    auto cells = op_decl_set(64, "cells");
+    loop_handle h;
+    double total = 0.0;
+    const auto run = [&] {
+      run_at(kind, h, count_one, "pl_roundtrip", cells,
+             op_arg_gbl<double>(&total, 1, OP_INC));
+    };
+    run();
+    run();
+    EXPECT_EQ(profile_of("pl_roundtrip").captures, 1u);
+    // Shrink and grow back to 64: size matches the captured entry
+    // again, but the resize-version does not.
+    cells.resize(32);
+    cells.resize(64);
+    run();
+    EXPECT_EQ(profile_of("pl_roundtrip").captures, 2u);
+    EXPECT_EQ(total, 3.0 * 64.0);
+  });
 }
 
 }  // namespace

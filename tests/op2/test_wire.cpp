@@ -736,8 +736,10 @@ op2::config shard_config(int nshards) {
   return cfg;
 }
 
-/// (shard count, fault kind, per-frame probability in percent).
-using wire_matrix_param = std::tuple<int, const char*, int>;
+/// (shard count, fault kind, per-frame probability in percent). The kind
+/// is a std::string, not a const char*, so gtest prints it as text rather
+/// than as an address: the printed parameter is part of the test's name.
+using wire_matrix_param = std::tuple<int, std::string, int>;
 
 class WireMatrix : public ::testing::TestWithParam<wire_matrix_param> {
  protected:
@@ -767,7 +769,7 @@ TEST_P(WireMatrix, BitIdenticalToSeqUnderWireFaults) {
 
 std::string wire_matrix_name(
     const ::testing::TestParamInfo<wire_matrix_param>& p) {
-  return std::string(std::get<1>(p.param)) + "N" +
+  return std::get<1>(p.param) + "N" +
          std::to_string(std::get<0>(p.param));
 }
 
