@@ -19,8 +19,8 @@ namespace {
 double real_airfoil_seconds(std::size_t static_chunk) {
   op2::config cfg{op2::backend::hpx_foreach, 2, 128, static_chunk};
   // This ablation compares *fixed* chunkers against the serial-probe
-  // auto-partitioner; keep the adaptive tuner out of the arms (it has
-  // its own ablation, ablation_tuner).
+  // auto-partitioner; keep the capture-time chunk out of the arms (it
+  // has its own ablation, ablation_tuner).
   cfg.tuner = op2::tuner_mode::off;
   op2::init(cfg);
   auto s = airfoil::make_sim(airfoil::generate_mesh({96, 24}));

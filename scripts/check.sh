@@ -27,7 +27,7 @@ ctest --test-dir "$build" --output-on-failure
 step "resilience: ctest -L fault"
 ctest --test-dir "$build" -L fault --output-on-failure
 
-step "adaptive grain tuner: ctest -L tuner"
+step "capture-time chunk: ctest -L tuner"
 ctest --test-dir "$build" -L tuner --output-on-failure
 
 step "cancellation/deadlines/backpressure: ctest -L cancel"
@@ -66,15 +66,20 @@ OP2_DATAFLOW_WINDOW=8 \
       --imax=40 --jmax=40 --iters=20 --profile
 
 step "launch path: replay + chain-building gates (zero allocs/node)"
-# Both tuner arms: OP2_TUNER=off must reproduce the pre-tuner replay
-# sequence exactly, and the default (on) must keep the steady-state
-# gate clean too.  The binary also gates the continuation core's
-# chain-BUILDING path: 0 allocations per then/dataflow node once the
-# operation-state block pool is warm, ≤1 for oversize continuations.
+# Both tuner arms: OP2_TUNER=off (the per-invocation auto-partitioner)
+# and the default on (a static chunk chosen at capture) must each keep
+# the steady-state gate clean.  The binary also gates the continuation
+# core's chain-BUILDING path: 0 allocations per then/dataflow node once
+# the operation-state block pool is warm, ≤1 for oversize
+# continuations.
 OP2_TUNER=off "$build/bench/launch_overhead"
 OP2_TUNER=on "$build/bench/launch_overhead"
 
-step "adaptive grain tuner: convergence within 32 replays (ablation_tuner)"
+step "capture-time chunk: fixed after warm-up, within 1.15x of the best static chunk (ablation_tuner)"
+# Every airfoil loop must hold a converged chunk with 0 probing feeds
+# after one warm run_classic call, and the chosen chunk's median over 11
+# interleaved rounds must be within 1.15x of the fastest of static:4,
+# static:16 and static:64.
 "$build/bench/ablation_tuner"
 
 step "shard core: overlapped exchange must beat the fenced schedule (ablation_shard)"
@@ -97,9 +102,10 @@ step "benchmark: perfbench self-tests (perfbench/selftest.py)"
 (cd "$repo" && python3 perfbench/selftest.py)
 
 step "fusion: fused must beat unfused, tiled must beat fused (ablation_fusion)"
-# Unfused / fused / fused+tiled over a DRAM-resident direct chain; all
-# three arms must produce bit-identical checksums, and each schedule
-# must beat the previous one or the binary exits non-zero.
+# Unfused / fused / fused+tiled over a DRAM-resident direct chain in 7
+# interleaved rounds; every run must produce the same checksum bits, and
+# each schedule's median wall time must beat the previous one's, or the
+# binary exits non-zero.
 "$build/bench/ablation_fusion"
 
 step "thread sanitizer: configure + build backend_smoke ($tsan_build)"

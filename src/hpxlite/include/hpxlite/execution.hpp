@@ -17,20 +17,26 @@
 //                        shared counter (load balancing for irregular
 //                        bodies)
 //   guided_chunk_size  — exponentially decreasing chunks
-//   adaptive_chunk_size — chunk chosen by a grain_controller tuned from
-//                        whole-run wall-time feedback (no serial probe)
+//
+// default_chunk(n, workers) = max(1, n / (4 * workers)) is the one grain
+// rule without a probe: reduce's split, and the static chunk a prepared
+// op2 loop is given at capture (grain_controller.hpp).
 #pragma once
 
 #include <chrono>
 #include <cstddef>
-#include <memory>
 #include <variant>
 
 #include "hpxlite/stop_token.hpp"
 
 namespace hpxlite {
 
-class grain_controller;
+/// max(1, n / (4 * workers)): at least four chunks per worker.
+constexpr std::size_t default_chunk(std::size_t n, unsigned workers) {
+  const std::size_t c =
+      n / (4 * static_cast<std::size_t>(workers == 0 ? 1 : workers));
+  return c == 0 ? 1 : c;
+}
 
 /// The paper's auto-partitioner.  `measure_fraction` of the iteration
 /// space (at least one iteration) is executed sequentially and timed;
@@ -60,18 +66,8 @@ struct guided_chunk_size {
   std::size_t min_size;
 };
 
-/// Feedback-tuned grain: the chunk is whatever the attached
-/// grain_controller currently believes is best (see
-/// grain_controller.hpp).  The algorithm never probes; the owner of the
-/// controller feeds it whole-run wall times between invocations.  A
-/// null controller degrades to the reduce-style n/(4*workers) split.
-struct adaptive_chunk_size {
-  std::shared_ptr<grain_controller> controller;
-};
-
-using chunk_spec =
-    std::variant<auto_chunk_size, static_chunk_size, dynamic_chunk_size,
-                 guided_chunk_size, adaptive_chunk_size>;
+using chunk_spec = std::variant<auto_chunk_size, static_chunk_size,
+                                dynamic_chunk_size, guided_chunk_size>;
 
 /// Tag selecting the task (asynchronous) flavour of a policy: par(task).
 struct task_policy_tag {};

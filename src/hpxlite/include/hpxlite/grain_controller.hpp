@@ -1,149 +1,72 @@
-// Feedback-driven grain-size controller behind adaptive_chunk_size.
+// The grain of a prepared loop, chosen once.
 //
 // The paper's auto-partitioner (execution.hpp's auto_chunk_size) sizes
 // chunks by serially executing ~1% of the loop *on every invocation*
 // and throwing the measurement away.  For a solver that replays the
 // same handful of loops thousands of times that probe is pure,
-// repeated overhead.  This controller inverts the flow: the caller
-// reports each complete run's wall time (`feed`), and the controller
-// hill-climbs over a geometric ladder of candidate chunk sizes
-// (×2 / ÷2 around a workers-derived seed), converges on the fastest,
-// and locks — after which `chunk()` is a single locked read, with no
-// probe and no timing machinery on the execution path itself.
+// repeated overhead.  A prepared loop instead asks for its chunk once,
+// when its launch is captured, and keeps it for every replay (HPX's
+// persistent_auto_chunk_size keeps its measurement the same way).  The
+// chunk comes from a pure rule, default_chunk(n, workers) =
+// max(1, n / (4 * workers)) for a range of n: at least four chunks per
+// worker, the split parallel reduce uses.  Nothing is timed and nothing
+// is re-chosen; a replay reads a static chunk.
 //
-// Lifecycle:
-//   probing   — the next few runs are experiments: each candidate is
-//               sampled `samples_per_candidate` times (min-of-samples,
-//               robust to scheduling noise), then the climb moves up,
-//               moves down, or stops.  Bounded by `max_probe_feeds`:
-//               convergence is guaranteed within that many feeds.
-//   converged — the best candidate is locked in.  Feeds keep flowing
-//               (they are cheap) purely for drift detection: a run
-//               slower than the converged baseline by more than
-//               `regression_threshold` for `regression_strikes`
-//               consecutive feeds re-enters probing from the current
-//               best.  reprobe() forces the same re-entry (the op2
-//               runtime calls it on a validity-epoch bump).
-//   frozen    — chunk is pinned; feed/reprobe are ignored.  Used by
-//               OP2_TUNER=freeze and for calibration-cache replay
-//               experiments.
-//
-// A controller also watches the iteration count it is asked about: if
-// `n` drifts by more than half from the value it tuned for (the mesh
-// was resized, the plan's block count changed), the learned chunk no
-// longer means the same thing and the controller re-seeds.
-//
-// Thread safety: all methods take an internal spinlock.  The expected
-// calling pattern (one prepared-loop replay in flight per entry) is
-// effectively serial; the lock makes the controller safe to share
-// between call sites anyway.
+// A grain_controller is op2::tuner's record of one loop key's choice:
+// the chunk it last handed out and how many captures asked for it.
+// Thread safety: lock-free; concurrent captures may share a controller.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
-#include "hpxlite/spinlock.hpp"
+#include "hpxlite/execution.hpp"
 
 namespace hpxlite {
 
 class grain_controller {
  public:
-  enum class state { probing, converged, frozen };
+  /// probing: no chunk chosen yet; converged: chunk() has chosen one.
+  enum class state { probing, converged };
 
   struct options {
-    /// Starting candidate; 0 derives max(1, n / (4 * workers)) on the
-    /// first chunk() call (at least four chunks per worker, the same
-    /// normalisation parallel reduce uses).
-    std::size_t seed_chunk = 0;
-    /// Timed runs per candidate before the climb judges it (min of the
-    /// samples is compared, so one descheduled run cannot mislead).
-    int samples_per_candidate = 2;
-    /// Relative improvement required to move to a neighbouring
-    /// candidate (guards against chasing timer noise).
-    double improve_margin = 0.05;
-    /// Converged runs slower than baseline by more than this re-enter
-    /// probing ...
-    double regression_threshold = 0.15;
-    /// ... once this many consecutive feeds regress.
-    int regression_strikes = 3;
-    /// Hard convergence bound: after this many probing feeds the best
-    /// candidate seen so far is locked unconditionally.
-    int max_probe_feeds = 32;
+    /// Probing feeds before the chunk locks — the warm-up cap: none,
+    /// the first chunk() call fixes it.
+    int max_probe_feeds = 0;
   };
 
-  grain_controller() = default;
-  explicit grain_controller(options opt) : opt_(opt) {}
-
-  /// A controller born converged at `chunk` — the calibration-cache
-  /// warm start: it performs zero exploration unless drift or an
-  /// explicit reprobe() sends it back to probing.
-  static std::shared_ptr<grain_controller> converged_at(std::size_t chunk,
-                                                        options opt);
-  static std::shared_ptr<grain_controller> converged_at(std::size_t chunk) {
-    return converged_at(chunk, options{});
+  /// The chunk for a range of `n` on `workers` workers:
+  /// default_chunk(n, workers), recorded as the current chunk.
+  std::size_t chunk(std::size_t n, unsigned workers) {
+    const std::size_t c = default_chunk(n, workers);
+    chunk_.store(c, std::memory_order_relaxed);
+    uses_.fetch_add(1, std::memory_order_relaxed);
+    return c;
   }
 
-  /// The chunk size to use for the next run of `n` iterations on
-  /// `workers` workers.  Seeds on first use; re-seeds if `n` drifted
-  /// by more than half from the tuned-for value; always in [1, n]
-  /// (for n == 0 returns 1).
-  std::size_t chunk(std::size_t n, unsigned workers);
+  /// Forgets the choice: back to probing with no uses.
+  void reset() {
+    chunk_.store(0, std::memory_order_relaxed);
+    uses_.store(0, std::memory_order_relaxed);
+  }
 
-  /// Reports the wall time of the run that used the last chunk().
-  void feed(double seconds);
-
-  /// Pins the current chunk; feed/reprobe become no-ops.
-  void freeze();
-
-  /// Forces a converged controller back to probing, seeded at its
-  /// current best (no-op while frozen or already probing).
-  void reprobe();
-
-  /// Drops everything: next chunk() re-seeds and probing restarts.
-  void reset();
-
-  state current_state() const;
-  std::size_t current_chunk() const;
-
-  /// Feeds consumed while probing since the last convergence — the
-  /// "convergence iteration" the ablation reports.
-  std::uint64_t probe_feeds() const;
-  /// Probing feeds over the controller's whole life (zero for an
-  /// undisturbed cache-seeded controller).
-  std::uint64_t total_probe_feeds() const;
-  std::uint64_t total_feeds() const;
+  state current_state() const {
+    return current_chunk() == 0 ? state::probing : state::converged;
+  }
+  std::size_t current_chunk() const {
+    return chunk_.load(std::memory_order_relaxed);
+  }
+  /// chunk() calls since construction or the last reset().
+  std::uint64_t uses() const { return uses_.load(std::memory_order_relaxed); }
 
  private:
-  void seed_locked(std::size_t n, unsigned workers);
-  void converge_locked();
-  void advance_locked(double candidate_time);
-
-  mutable spinlock lock_;
-  options opt_;
-
-  state state_ = state::probing;
-  std::size_t chunk_ = 0;      // current candidate (0 = unseeded)
-  std::size_t n_ref_ = 0;      // iteration count the ladder was built for
-  unsigned workers_ref_ = 1;
-
-  // Climb state.
-  std::size_t best_chunk_ = 0;
-  double best_time_ = -1.0;    // < 0: no candidate fully sampled yet
-  int direction_ = +1;         // ladder direction: ×2 (+1) or ÷2 (-1)
-  bool reversed_ = false;      // already tried the other direction
-  int sample_count_ = 0;
-  double sample_min_ = 0.0;
-
-  // Converged state.
-  double converged_time_ = 0.0;
-  int strikes_ = 0;
-
-  std::uint64_t probe_feeds_ = 0;        // since last convergence
-  std::uint64_t total_probe_feeds_ = 0;
-  std::uint64_t total_feeds_ = 0;
+  std::atomic<std::size_t> chunk_{0};  // 0 = not chosen yet
+  std::atomic<std::uint64_t> uses_{0};
 };
 
-const char* to_string(grain_controller::state s);
+constexpr const char* to_string(grain_controller::state s) {
+  return s == grain_controller::state::probing ? "probing" : "converged";
+}
 
 }  // namespace hpxlite

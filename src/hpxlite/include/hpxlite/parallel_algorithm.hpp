@@ -25,7 +25,6 @@
 
 #include "hpxlite/execution.hpp"
 #include "hpxlite/future.hpp"
-#include "hpxlite/grain_controller.hpp"
 #include "hpxlite/scheduler.hpp"
 
 namespace hpxlite::parallel {
@@ -80,15 +79,6 @@ std::pair<std::size_t, std::size_t> pick_static_chunk(
     RunPrefix&& run_prefix) {
   if (const auto* st = std::get_if<static_chunk_size>(&spec)) {
     return {st->size, 0};
-  }
-  if (const auto* ad = std::get_if<adaptive_chunk_size>(&spec)) {
-    if (ad->controller) {
-      return {ad->controller->chunk(n, workers), 0};
-    }
-    // No controller attached: behave like reduce's normalisation.
-    const std::size_t fallback =
-        n / (4 * static_cast<std::size_t>(workers));
-    return {fallback == 0 ? 1 : fallback, 0};
   }
   const auto& ac = std::get<auto_chunk_size>(spec);
   // The paper: "the auto-partitioner algorithm ... estimates the chunk
@@ -391,18 +381,8 @@ future<T> reduce_chunked(const chunk_spec& spec, std::size_t n, T init, Op op,
   // normalised to a static one sized for the worker count).
   runtime& rt = ambient_runtime();
   const unsigned workers = rt.concurrency();
-  std::size_t chunk;
-  if (const auto* st = std::get_if<static_chunk_size>(&spec)) {
-    chunk = st->size;
-  } else if (const auto* ad = std::get_if<adaptive_chunk_size>(&spec);
-             ad && ad->controller) {
-    chunk = ad->controller->chunk(n, workers);
-  } else {
-    chunk = n / (4 * static_cast<std::size_t>(workers));
-    if (chunk == 0) {
-      chunk = 1;
-    }
-  }
+  const auto* st = std::get_if<static_chunk_size>(&spec);
+  const std::size_t chunk = st ? st->size : default_chunk(n, workers);
   const std::size_t nchunks = (n + chunk - 1) / chunk;
 
   struct reduce_block {

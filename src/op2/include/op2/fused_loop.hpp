@@ -30,7 +30,7 @@
 //
 // A fused group is one more frame kind for the capture/replay core
 // (op2/prepared_loop.hpp): it captures once (member frames, shared
-// direct plan, erased launch, tuners, profiling slot), replays
+// direct plan, erased launch, chosen chunk, profiling slot), replays
 // allocation-free and falls back exactly as a single loop does, except
 // that OP2_FUSE=off runs the members as individual prepared loops.
 // Loops issued inside a shard_scope fuse within the span: erase_frame

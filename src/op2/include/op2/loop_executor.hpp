@@ -59,8 +59,8 @@ struct executor_caps {
   /// op2::init must reset the hpxlite worker pool to config::threads.
   bool needs_hpx_runtime = false;
   /// The executor's schedule actually varies with loop_launch::chunk
-  /// (seq runs one range regardless, so it does not); gates the
-  /// adaptive grain tuner — tuning a chunk nobody reads is noise.
+  /// (seq runs one range regardless, so it does not); gates the chunk
+  /// a prepared loop is given at capture (op2/tuner.hpp).
   bool honors_chunk = false;
   /// The executor understands shard_context windows natively: it
   /// dispatches the interior span before waiting the halo-exchange
@@ -173,10 +173,8 @@ class loop_deadline_error : public std::runtime_error {
 std::string describe(const hpxlite::chunk_spec& chunk);
 
 /// Parses the OP2_CHUNK / config::chunker grammar:
-///   auto | static:N | dynamic:N | guided:N | adaptive
-/// ("adaptive" yields an adaptive_chunk_size with no controller; the
-/// prepared-loop capture attaches the per-site controller).  Throws
-/// std::invalid_argument on malformed specs.
+///   auto | static:N | dynamic:N | guided:N
+/// Throws std::invalid_argument on malformed specs.
 hpxlite::chunk_spec parse_chunk_spec(const std::string& text);
 
 /// A backend: how the block-structured schedule of a loop_launch runs.

@@ -13,8 +13,8 @@
 // its median splits are total orders (not left to nth_element's
 // implementation-defined tie handling).  Two calls with the same input
 // produce the same partitioning on any platform.  Shard layouts
-// (op2/shard.hpp), golden tests, and the tuner's on-disk calibration
-// cache all rely on this; tests/op2/test_shard_partition.cpp pins it.
+// (op2/shard.hpp) and golden tests rely on this;
+// tests/op2/test_shard_partition.cpp pins it.
 #pragma once
 
 #include <span>

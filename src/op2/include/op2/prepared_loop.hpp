@@ -11,8 +11,8 @@
 // This layer caches the finished product: a `launch_entry` holds the
 // validated frame — a loop_frame for one loop, or a fused_frame for a
 // fused group (op2/fused_loop.hpp) — its plan, the erased loop_launch,
-// the preallocated per-worker reduction slots and the grain
-// controllers.  The first invocation at a call site *captures* the
+// the preallocated per-worker reduction slots and the chunk chosen at
+// capture.  The first invocation at a call site *captures* the
 // entry; subsequent invocations *replay* it — re-emplacing each kernel
 // (fresh by-value lambda captures), rebinding global-argument pointers
 // (dataflow passes a different &rms[slot] per iteration), and
@@ -50,9 +50,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -136,20 +134,16 @@ struct launch_entry {
   version_array dat_versions{};
   std::shared_ptr<Frame> frame;
   loop_launch launch;
-  /// Adaptive grain controller for this site (null when the tuner is
-  /// off, the backend ignores chunk specs, or an explicit chunker was
-  /// configured).  When set, launch.chunk is an adaptive spec reading
-  /// the controller, and every dispatch feeds its wall time back — the
-  /// replacement for the auto-partitioner's serial probe.
-  std::shared_ptr<hpxlite::grain_controller> tuner;
+  /// The static chunk chosen at capture (op2/tuner.hpp), mirrored into
+  /// the profiling columns; 0 when the launch keeps the configured
+  /// chunker (tuner off, a backend that ignores chunk specs, or an
+  /// explicit chunker).
+  std::size_t chosen_chunk = 0;
   /// Fused frames only: the stable id stamped on the profiling row
-  /// (op_timing_output's fgroup column), and the resolved OP2_TILE — a
-  /// fixed element count, or 0 with tile_tuner when OP2_TILE=auto (the
-  /// tuner's second dimension, keyed "<name>#tile" so chunk samples
-  /// stay untainted).
+  /// (op_timing_output's fgroup column), and the OP2_TILE element count
+  /// (0 = untiled).
   std::uint64_t group_id = 0;
-  int fixed_tile = 0;
-  std::shared_ptr<hpxlite::grain_controller> tile_tuner;
+  int tile = 0;
   /// True while a dispatch of this entry is executing; a second
   /// overlapping invocation of the same call site must not share the
   /// frame's kernel slots and reduction scratch, so it runs one-shot.
@@ -302,23 +296,21 @@ std::shared_ptr<Entry> capture_entry(
   e->set_version = set.version();
   e->epoch = prepared_epoch();
   e->launch = erase_frame(e->frame);
-  const auto size = static_cast<std::size_t>(e->set_size);
-  // Attach the per-site grain controller when the configuration wants
-  // the loop tuned: the cached launch's chunk spec becomes adaptive,
-  // and dispatch feeds every run's wall time back.
+  // The grain is chosen once, here: a static chunk sized for the
+  // loop's widest colour, kept by every replay.
   if (tuner::applicable(exec)) {
-    e->tuner = tuner::acquire(e->launch.name, size);
-    e->launch.chunk = hpxlite::adaptive_chunk_size{e->tuner};
+    std::size_t widest = 0;
+    for (const auto& blocks : e->launch.plan->color_blocks) {
+      widest = std::max(widest, blocks.size());
+    }
+    e->chosen_chunk =
+        tuner::acquire(e->launch.name, static_cast<std::size_t>(e->set_size))
+            ->chunk(widest, current_config().threads);
+    e->launch.chunk = hpxlite::static_chunk_size(e->chosen_chunk);
   }
   if constexpr (Frame::fused) {
     e->group_id = fusion::next_fused_group_id();
-    const config& cfg = current_config();
-    const int tile_spec = parse_tile_spec(cfg.tile);
-    if (tile_spec > 0) {
-      e->fixed_tile = tile_spec;
-    } else if (tile_spec < 0 && cfg.tuner != tuner_mode::off) {
-      e->tile_tuner = tuner::acquire(e->launch.name + "#tile", size);
-    }
+    e->tile = parse_tile_spec(current_config().tile);
   }
   // Replays must record without a string-keyed lookup, so the slot is
   // pinned at capture regardless of whether profiling is on right now.
@@ -328,6 +320,15 @@ std::shared_ptr<Entry> capture_entry(
   e->launch.prof = profiling::acquire_slot(e->launch.name);
   profiling::record_capture(e->launch.name);
   return e;
+}
+
+/// Mirrors the capture's chunk choice into the profiling columns (a
+/// no-op while profiling is off or when no chunk was chosen).
+template <typename Entry>
+void record_chunk(const Entry& e) {
+  if (e.chosen_chunk != 0) {
+    profiling::record_tuner(e.launch.prof, e.chosen_chunk, "converged");
+  }
 }
 
 /// Replay or capture: the entry for this invocation, held in flight, or
@@ -357,6 +358,7 @@ flight_guard<Entry> hold_entry(launch_cache<Entry>& cache,
       e->launch.writes = collect_write_targets(*e->frame);
     }
     profiling::record_replay(e->launch.prof);
+    record_chunk(*e);
     return held;
   }
   auto e = capture_entry<Entry>(exec, keys, versions, set,
@@ -364,50 +366,8 @@ flight_guard<Entry> hold_entry(launch_cache<Entry>& cache,
   e->in_flight.store(true, std::memory_order_release);
   flight_guard<Entry> held(e);
   cache.store(e);
+  record_chunk(*e);
   return held;
-}
-
-/// The tile a fused dispatch runs with: the fixed OP2_TILE, or the tile
-/// controller's current calibration (a tile covering the set
-/// degenerates to untiled).
-template <typename Entry>
-int resolve_tile(const Entry& e) {
-  if (e.tile_tuner) {
-    const std::size_t c = e.tile_tuner->current_chunk();
-    if (c == 0 || c >= static_cast<std::size_t>(e.set_size)) {
-      return 0;
-    }
-    return static_cast<int>(c);
-  }
-  return e.fixed_tile;
-}
-
-/// Feeds one successful dispatch's wall time (since t0) to the entry's
-/// controllers and mirrors the chunk decision into the profiling
-/// columns.  Failed runs never get here, so exceptions never poison the
-/// controllers' samples.
-template <typename Entry>
-void feed_tuners(Entry& e, std::chrono::steady_clock::time_point t0) {
-  if (!e.tuner && !e.tile_tuner) {
-    return;
-  }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (e.tuner) {
-    e.tuner->feed(seconds);
-    profiling::record_tuner(e.launch.prof, e.tuner->current_chunk(),
-                            hpxlite::to_string(e.tuner->current_state()));
-  }
-  if (e.tile_tuner) {
-    e.tile_tuner->feed(seconds);
-  }
-}
-
-template <typename Entry>
-std::chrono::steady_clock::time_point tuner_clock(const Entry& e) {
-  return e.tuner || e.tile_tuner ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
 }
 
 /// Synchronous dispatch of a held entry.
@@ -418,13 +378,11 @@ void dispatch(loop_executor& exec, Entry& e, const failure_policy& policy,
     // Written only while the entry is held in flight, read by the
     // erased closures.
     e.frame->steps = steps;
-    e.frame->tile = resolve_tile(e);
+    e.frame->tile = e.tile;
     profiling::record_fusion(e.launch.prof, e.group_id, Entry::nmembers,
-                             static_cast<std::uint64_t>(e.frame->tile));
+                             static_cast<std::uint64_t>(e.tile));
   }
-  const auto t0 = tuner_clock(e);
   run_loop_protected(exec, e.launch, policy);
-  feed_tuners(e, t0);
 }
 
 /// Synchronous launch of the members as one frame of Entry's kind,
@@ -467,8 +425,7 @@ void run_sync(launch_cache<Entry>& cache, loop_executor& exec,
   auto frame = Frame::build(set, std::move(members)...);
   if constexpr (Frame::fused) {
     frame->steps = steps;
-    const int tile_spec = parse_tile_spec(cfg.tile);
-    frame->tile = tile_spec > 0 ? tile_spec : 0;
+    frame->tile = parse_tile_spec(cfg.tile);
   }
   run_loop_protected(exec, erase_frame(std::move(frame)), policy);
 }
@@ -492,24 +449,10 @@ hpxlite::future<void> run_async(launch_cache<Entry>& cache,
     return one_shot();
   }
   const auto e = held.entry;
-  // Tuner timing spans launch to completion (measured in the clearing
-  // continuation, which runs before the entry can be replayed again).
-  const auto t0 = tuner_clock(*e);
   auto done = launch_loop_protected(exec, e->launch, policy);
-  auto chained = done.then([e, t0](hpxlite::future<void>&& f) {
-    std::exception_ptr err;
-    try {
-      f.get();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (!err) {
-      feed_tuners(*e, t0);
-    }
+  auto chained = done.then([e](hpxlite::future<void>&& f) {
     e->in_flight.store(false, std::memory_order_release);
-    if (err) {
-      std::rethrow_exception(err);
-    }
+    f.get();  // rethrows the loop's failure, if any
   });
   // The continuation now owns clearing in_flight; disarm the guard.
   held.release();

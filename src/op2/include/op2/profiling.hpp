@@ -48,9 +48,9 @@ struct loop_profile {
   /// installed alloc counter; see set_alloc_counter).
   std::uint64_t allocs = 0;
   std::uint64_t alloc_samples = 0;
-  /// Adaptive grain tuner: the chunk the loop's controller currently
-  /// uses (0 = no tuner attached; the report shows "-") and its state
-  /// ("probing" / "converged" / "frozen", empty when untuned).
+  /// The static chunk chosen when the loop was captured (op2/tuner.hpp;
+  /// 0 = none chosen, the report shows "-") and its state ("converged",
+  /// empty when none was chosen).
   std::uint64_t chunk_chosen = 0;
   std::string tuner_state;
   /// Cross-loop fusion: the fused-launch id this row was captured
@@ -168,9 +168,8 @@ void record_replay(const std::string& loop_name);
 void record_allocs(slot* s, std::uint64_t n);
 void record_allocs(const std::string& loop_name, std::uint64_t n);
 
-/// Adaptive-tuner hook (no-op while profiling is disabled): the chunk
-/// the loop's grain controller chose for the execution just fed, and
-/// the controller's state ("probing"/"converged"/"frozen").
+/// Capture-time chunk hook (no-op while profiling is disabled): the
+/// chunk the loop's launch was given and its grain_controller state.
 void record_tuner(slot* s, std::uint64_t chunk, const char* state);
 
 /// Fusion hook (no-op while profiling is disabled): stamps the fused

@@ -104,26 +104,24 @@ class failure_policy_scope {
   const failure_policy* prev_;
 };
 
-/// Adaptive grain tuner arm (OP2_TUNER):
-///   on     — prepared loops on chunk-honouring backends tune their
-///            chunk size from replay wall times (default)
-///   off    — the pre-tuner behaviour: every launch uses the configured
-///            chunker (auto-probe unless a chunk was set explicitly)
-///   freeze — controllers are pinned at their current (or cache-loaded)
-///            chunk and never probe or drift
-enum class tuner_mode { off, on, freeze };
+/// Grain choice for prepared loops (OP2_TUNER):
+///   on  — a prepared loop on a chunk-honouring backend is given a
+///         static chunk once, at capture (op2/tuner.hpp) (default)
+///   off — the paper's per-invocation auto-partitioner: every launch
+///         uses the configured chunker (auto-probe unless a chunk was
+///         set explicitly)
+enum class tuner_mode { off, on };
 
 constexpr const char* to_string(tuner_mode m) {
-  return m == tuner_mode::off ? "off"
-                              : (m == tuner_mode::on ? "on" : "freeze");
+  return m == tuner_mode::off ? "off" : "on";
 }
 
-/// Parses "on" | "off" | "freeze" (throws std::invalid_argument).
+/// Parses "on" | "off" (throws std::invalid_argument).
 tuner_mode parse_tuner_mode(const std::string& text);
 
-/// Parses the OP2_TILE / config::tile grammar: "" | "off" | "auto" |
-/// "<elems>".  Returns 0 for off, -1 for auto (grain-tuner fed), or the
-/// positive fixed tile size.  Throws std::invalid_argument otherwise.
+/// Parses the OP2_TILE / config::tile grammar: "" | "off" | "<elems>".
+/// Returns 0 for off or the positive fixed tile size.  Throws
+/// std::invalid_argument otherwise.
 int parse_tile_spec(const std::string& text);
 
 struct config {
@@ -154,23 +152,17 @@ struct config {
   /// the control arm of the fusion tests and benchmarks.
   bool fuse = true;
   /// Tile size for fused direct chains (OP2_TILE): "" or "off" runs
-  /// each plan block/range as one tile; "auto" sizes tiles through the
-  /// grain tuner (a second calibration dimension per fused site);
-  /// "<elems>" fixes the tile.  A multi-step fused launch runs every
+  /// each plan block/range as one tile; "<elems>" fixes the tile.  A multi-step fused launch runs every
   /// step of the chain over one tile before advancing, so the tile's
   /// working set stays cache-hot across time steps.
   std::string tile;
-  /// Adaptive grain tuner (see tuner_mode / OP2_TUNER).  Applies only
-  /// to prepared loops whose backend honours the chunk spec and whose
-  /// configured chunker is the auto-partitioner; explicit chunkers are
-  /// always respected.
+  /// Capture-time grain choice (see tuner_mode / OP2_TUNER).  Applies
+  /// only to prepared loops whose backend honours the chunk spec and
+  /// whose configured chunker is the auto-partitioner; explicit
+  /// chunkers are always respected.
   tuner_mode tuner = tuner_mode::on;
-  /// Calibration-cache file (OP2_TUNER_CACHE): loaded by init() so
-  /// controllers start converged, written by finalize() with every
-  /// converged entry.  Empty disables persistence.
-  std::string tuner_cache;
   /// Chunker spec override (OP2_CHUNK): "auto" | "static:N" |
-  /// "dynamic:N" | "guided:N" | "adaptive".  Empty defers to
+  /// "dynamic:N" | "guided:N".  Empty defers to
   /// static_chunk (legacy knob) then the auto-partitioner.
   std::string chunker;
   /// Bounded in-flight window for the dataflow API (OP2_DATAFLOW_WINDOW):

@@ -33,10 +33,9 @@
 // Jobs run on dedicated runner threads, not pool workers: a job body
 // blocks in synchronous op_par_loops that dispatch into the shared
 // hpxlite pool, and a runner that helped the pool could be dragged
-// into another tenant's stalled work.  Tuner calibration is shared
-// across tenants automatically — controllers key on loop shape
-// (loop × backend × threads × size bucket), so tenant B replays start
-// converged from tenant A's identical loops.
+// into another tenant's stalled work.  The capture-time chunk choice
+// is recorded per loop shape (loop × backend × threads × size bucket),
+// so tenants running identical loops share one registry entry.
 //
 // Environment: OP2_SERVICE_WORKERS (runner threads, default 4) and
 // OP2_SERVICE_QUEUE_DEPTH (per-tenant default, default 16); see

@@ -27,7 +27,7 @@
 // Determinism: the decomposition is a pure function of (partitioning,
 // adjacency map, depth).  Combined with the tie-broken RCB in
 // partition.hpp this makes shard layouts reproducible across runs —
-// the invariant golden tests and the tuner cache rely on.
+// the invariant golden tests rely on.
 #pragma once
 
 #include <atomic>

@@ -1,23 +1,18 @@
-// The op2 calibration layer over hpxlite::grain_controller.
+// The capture-time grain choice for prepared loops.
 //
-// One controller exists per (loop name × backend × thread count ×
-// set-size bucket) — the dimensions that change what the best grain
-// size is.  Prepared loops acquire their controller at capture time and
-// feed it every replay's wall time; the controller converges on a chunk
-// and the replay path thereafter pays a single locked read instead of
-// the auto-partitioner's serial probe.
+// When a prepared loop is captured on a backend that honours chunk
+// sizes, and the configuration leaves the grain to the runtime (the
+// auto chunker, OP2_TUNER=on), its launch is given a static chunk of
+// hpxlite::default_chunk(n, threads) = max(1, n / (4 * threads)) plan
+// blocks, where n is the block count of the loop's widest colour (all
+// blocks for a direct loop).  Every replay runs with that chunk: hpx
+// for_each partitions each colour by it, forkjoin deals it round-robin.
+// Nothing is timed, probed or re-chosen; a recapture (a resized set,
+// a new runtime epoch) applies the same rule again.
 //
-// The registry lives for the process, like the profiling slots: a
-// finalize()/init() cycle does not discard what a controller learned,
-// it only asks converged controllers to re-verify (reprobe) because the
-// runtime configuration may have changed in ways the key does not
-// capture.  Keys that *did* change (backend, threads) simply resolve to
-// a different controller.
-//
-// Persistence: OP2_TUNER_CACHE names a versioned text file.  init()
-// loads it — matching controllers are born converged at the cached
-// chunk and perform zero exploration — and finalize() writes back every
-// converged entry, so a second run starts where the first ended.
+// The registry records each choice per (loop name × backend × thread
+// count × set-size bucket), for tests, benchmarks and the profiling
+// columns.  It lives for the process, like the profiling slots.
 #pragma once
 
 #include <cstddef>
@@ -36,24 +31,22 @@ class loop_executor;
 namespace tuner {
 
 /// Power-of-two bucket of a set size (floor(log2(n)), 0 for n <= 1):
-/// meshes within 2x of each other share a calibration entry; a refined
-/// mesh gets its own.
+/// meshes within 2x of each other share a registry entry.
 unsigned size_bucket(std::size_t set_size);
 
-/// True when the active configuration wants `exec`'s loops tuned:
-/// tuner mode is not off, the executor honours the chunk spec, and the
-/// configured chunker is the auto-partitioner (an explicit static /
-/// dynamic / guided / adaptive choice is always respected as given).
+/// True when the active configuration wants `exec`'s loops given a
+/// capture-time chunk: tuner mode is on, the executor honours the chunk
+/// spec, and the configured chunker is the auto-partitioner (an
+/// explicit static / dynamic / guided choice is always respected).
 bool applicable(const loop_executor& exec);
 
-/// The controller for `loop` iterating a set of `set_size` elements
-/// under the current backend/thread configuration.  Created on first
-/// use — warm-started converged when the loaded calibration cache has a
-/// matching entry, frozen immediately under tuner_mode::freeze.
+/// The registry record for `loop` iterating a set of `set_size`
+/// elements under the current backend/thread configuration, created on
+/// first use.
 std::shared_ptr<hpxlite::grain_controller> acquire(const std::string& loop,
                                                    std::size_t set_size);
 
-/// One registry entry, for tests/benchmarks and op_timing_output.
+/// One registry entry, for tests and benchmarks.
 struct entry_info {
   std::string loop;
   std::string backend;
@@ -62,33 +55,16 @@ struct entry_info {
   std::size_t chunk = 0;
   hpxlite::grain_controller::state state =
       hpxlite::grain_controller::state::probing;
-  std::uint64_t probe_feeds = 0;        // since last convergence
-  std::uint64_t total_probe_feeds = 0;  // lifetime exploration feeds
-  std::uint64_t total_feeds = 0;
-  bool cache_seeded = false;  // born converged from OP2_TUNER_CACHE
+  std::uint64_t probe_feeds = 0;        // always 0: nothing is probed
+  std::uint64_t total_probe_feeds = 0;  // always 0
+  std::uint64_t total_feeds = 0;        // captures that chose the chunk
 };
 
-/// All live controllers, in acquisition order.
+/// All live entries, in acquisition order.
 std::vector<entry_info> snapshot();
 
-/// Drops every controller and forgets loaded cache entries (tests).
+/// Drops every entry (tests and benchmarks).
 void reset();
-
-/// Called by finalize(): the runtime configuration is changing in ways
-/// the key may not capture (block size, policy, pool teardown), so
-/// converged controllers re-enter probing from their current best.
-void notify_epoch_bump();
-
-/// Loads `path` into the warm-start table (format: "op2tuner 1" header,
-/// then one "loop backend threads bucket chunk" line per entry).
-/// Returns false — without touching existing controllers — when the
-/// file is missing, unreadable, or carries a different version.
-bool load_cache(const std::string& path);
-
-/// Writes every converged/frozen controller (plus still-unacquired
-/// loaded entries, so partial runs don't erase calibration) to `path`.
-/// Returns false when the file cannot be written.
-bool save_cache(const std::string& path);
 
 }  // namespace tuner
 }  // namespace op2

@@ -1,14 +1,14 @@
 // forkjoin — the OpenMP `#pragma omp parallel for` baseline: one
 // fork-join episode (== one implicit global barrier) per colour,
-// executed on the persistent team op2::init creates.  An explicit
-// static (or tuner-adaptive) chunk maps to schedule(static, chunk);
-// the auto/dynamic/guided chunkers keep OpenMP's default static split.
+// executed on the persistent team op2::init creates.  A static chunk —
+// explicit, or the one a prepared loop is given at capture — maps to
+// schedule(static, chunk), dealt round-robin; the auto/dynamic/guided
+// chunkers keep OpenMP's default one-range-per-worker split.
 #include <cstddef>
 #include <memory>
 #include <variant>
 
 #include "backends/builtin.hpp"
-#include "hpxlite/grain_controller.hpp"
 #include "op2/loop_executor.hpp"
 #include "op2/runtime.hpp"
 
@@ -33,21 +33,9 @@ class forkjoin_executor final : public loop_executor {
   void run_indirect(const loop_launch& loop) override { run_colored(loop); }
 
  private:
-  /// Chunk to deal round-robin, or 0 for the default static split.
-  static std::size_t chunk_for(const hpxlite::chunk_spec& spec,
-                               std::size_t n, unsigned workers) {
-    if (const auto* st = std::get_if<hpxlite::static_chunk_size>(&spec)) {
-      return st->size;
-    }
-    if (const auto* ad = std::get_if<hpxlite::adaptive_chunk_size>(&spec);
-        ad != nullptr && ad->controller != nullptr) {
-      return ad->controller->chunk(n, workers);
-    }
-    return 0;
-  }
-
   static void run_colored(const loop_launch& loop) {
     auto& tm = team();
+    const auto* st = std::get_if<hpxlite::static_chunk_size>(&loop.chunk);
     for (const auto& blocks : loop.plan->color_blocks) {
       // Poll the cancel token between blocks: the team rethrows the
       // first member's operation_cancelled after the barrier, so a
@@ -58,12 +46,10 @@ class forkjoin_executor final : public loop_executor {
           loop.run_block(blocks[k]);
         }
       };
-      const std::size_t chunk =
-          chunk_for(loop.chunk, blocks.size(), tm.size());
-      if (chunk == 0) {
+      if (st == nullptr) {
         tm.parallel_for(blocks.size(), body);
       } else {
-        tm.parallel_for_chunked(blocks.size(), chunk, body);
+        tm.parallel_for_chunked(blocks.size(), st->size, body);
       }
     }
   }

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "backends/builtin.hpp"
-#include "hpxlite/grain_controller.hpp"
 #include "hpxlite/watchdog.hpp"
 #include "op2/profiling.hpp"
 #include "op2/tenant.hpp"
@@ -205,12 +204,6 @@ std::string describe(const hpxlite::chunk_spec& chunk) {
     std::string operator()(const hpxlite::guided_chunk_size& c) const {
       return "guided:" + std::to_string(c.min_size);
     }
-    std::string operator()(const hpxlite::adaptive_chunk_size& c) const {
-      if (!c.controller) {
-        return "adaptive";
-      }
-      return "adaptive:" + std::to_string(c.controller->current_chunk());
-    }
   };
   return std::visit(visitor{}, chunk);
 }
@@ -218,9 +211,6 @@ std::string describe(const hpxlite::chunk_spec& chunk) {
 hpxlite::chunk_spec parse_chunk_spec(const std::string& text) {
   if (text == "auto") {
     return hpxlite::auto_chunk_size{};
-  }
-  if (text == "adaptive") {
-    return hpxlite::adaptive_chunk_size{};
   }
   const auto colon = text.find(':');
   const std::string kind = text.substr(0, colon);
@@ -256,7 +246,7 @@ hpxlite::chunk_spec parse_chunk_spec(const std::string& text) {
   }
   throw std::invalid_argument(
       "op2: bad chunk spec '" + text +
-      "' (grammar: auto | static:N | dynamic:N | guided:N | adaptive)");
+      "' (grammar: auto | static:N | dynamic:N | guided:N)");
 }
 
 // --- loop_executor defaults -------------------------------------------

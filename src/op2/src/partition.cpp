@@ -46,8 +46,8 @@ void rcb_recurse(std::span<const double> xy, std::vector<int>& elems,
   // (coordinate, element id) lexicographic: the id tie-break makes the
   // median split a total order, so the assignment is the mathematically
   // unique one — identical across libstdc++ versions and platforms, not
-  // just across runs of one binary.  Shard layouts, golden tests and
-  // the tuner cache all key off this invariant (see partition.hpp).
+  // just across runs of one binary.  Shard layouts and golden tests
+  // key off this invariant (see partition.hpp).
   std::nth_element(elems.begin() + static_cast<std::ptrdiff_t>(lo), mid,
                    elems.begin() + static_cast<std::ptrdiff_t>(hi),
                    [&](int a, int b) {

@@ -12,7 +12,6 @@
 #include "op2/fault.hpp"
 #include "op2/loop_executor.hpp"
 #include "op2/plan.hpp"
-#include "op2/tuner.hpp"
 #include "op2/wire.hpp"
 
 namespace op2 {
@@ -83,10 +82,6 @@ void apply_resilience_env(config& cfg) {
   if (const char* env = std::getenv("OP2_TUNER");
       env != nullptr && *env != '\0') {
     cfg.tuner = parse_tuner_mode(env);
-  }
-  if (const char* env = std::getenv("OP2_TUNER_CACHE");
-      env != nullptr && *env != '\0') {
-    cfg.tuner_cache = env;
   }
   if (const char* env = std::getenv("OP2_CHUNK");
       env != nullptr && *env != '\0') {
@@ -349,19 +344,13 @@ tuner_mode parse_tuner_mode(const std::string& text) {
   if (text == "off" || text == "0" || text == "false") {
     return tuner_mode::off;
   }
-  if (text == "freeze") {
-    return tuner_mode::freeze;
-  }
-  throw std::invalid_argument("op2: OP2_TUNER must be on, off or freeze, got '" +
+  throw std::invalid_argument("op2: OP2_TUNER must be on or off, got '" +
                               text + "'");
 }
 
 int parse_tile_spec(const std::string& text) {
   if (text.empty() || text == "off") {
     return 0;
-  }
-  if (text == "auto") {
-    return -1;
   }
   long n = 0;
   try {
@@ -375,7 +364,7 @@ int parse_tile_spec(const std::string& text) {
   }
   if (n <= 0) {
     throw std::invalid_argument(
-        "op2: OP2_TILE must be off, auto or a positive element count, got '" +
+        "op2: OP2_TILE must be off or a positive element count, got '" +
         text + "'");
   }
   return static_cast<int>(n);
@@ -445,21 +434,12 @@ void init(const config& cfg) {
   if (caps.needs_hpx_runtime) {
     hpxlite::runtime::reset(effective.threads);
   }
-  if (!g_config.tuner_cache.empty()) {
-    tuner::load_cache(g_config.tuner_cache);
-  }
   set_dataflow_window(g_config.dataflow_window);
   reset_dataflow_window_peak();
   start_watchdog(g_config);
 }
 
 void finalize() {
-  // Persist calibration before asking controllers to re-verify: the
-  // saved file reflects the converged state this configuration reached.
-  if (!g_config.tuner_cache.empty()) {
-    tuner::save_cache(g_config.tuner_cache);
-  }
-  tuner::notify_epoch_bump();
   // Invalidate before tearing down pools: a prepared frame sized for
   // the outgoing worker pool must not replay against the next one, and
   // clearing the caches releases the dats/plans they pin.

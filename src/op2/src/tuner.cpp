@@ -1,9 +1,6 @@
 #include "op2/tuner.hpp"
 
-#include <fstream>
-#include <map>
 #include <mutex>
-#include <sstream>
 #include <variant>
 
 #include "op2/loop_executor.hpp"
@@ -12,36 +9,22 @@ namespace op2::tuner {
 
 namespace {
 
-constexpr const char* kCacheMagic = "op2tuner";
-constexpr int kCacheVersion = 1;
-
 struct registry_entry {
   std::string loop;
   std::string backend;
   unsigned threads = 1;
   unsigned bucket = 0;
   std::shared_ptr<hpxlite::grain_controller> controller;
-  bool cache_seeded = false;
 };
 
 struct tuner_state {
   std::mutex mutex;
   std::vector<registry_entry> entries;  // acquisition order
-  /// Warm-start chunks loaded from OP2_TUNER_CACHE, keyed by the
-  /// space-joined entry key; consumed lazily by acquire().
-  std::map<std::string, std::size_t> warm;
 };
 
 tuner_state& state() {
   static tuner_state s;
   return s;
-}
-
-std::string key_of(const std::string& loop, const std::string& backend,
-                   unsigned threads, unsigned bucket) {
-  std::ostringstream k;
-  k << loop << ' ' << backend << ' ' << threads << ' ' << bucket;
-  return k.str();
 }
 
 }  // namespace
@@ -64,12 +47,10 @@ bool applicable(const loop_executor& exec) {
     return false;
   }
   // Only the auto-partitioner is replaced; an explicit chunker choice
-  // (static/dynamic/guided) is always respected as configured.  An
-  // explicit "adaptive" is a direct request for the tuner.
+  // (static/dynamic/guided) is always respected as configured.
   if (!cfg.chunker.empty()) {
-    const hpxlite::chunk_spec spec = parse_chunk_spec(cfg.chunker);
-    return std::holds_alternative<hpxlite::auto_chunk_size>(spec) ||
-           std::holds_alternative<hpxlite::adaptive_chunk_size>(spec);
+    return std::holds_alternative<hpxlite::auto_chunk_size>(
+        parse_chunk_spec(cfg.chunker));
   }
   return cfg.static_chunk == 0;
 }
@@ -88,23 +69,9 @@ std::shared_ptr<hpxlite::grain_controller> acquire(const std::string& loop,
       return e.controller;
     }
   }
-  registry_entry entry;
-  entry.loop = loop;
-  entry.backend = backend;
-  entry.threads = cfg.threads;
-  entry.bucket = bucket;
-  const auto warm = s.warm.find(key_of(loop, backend, cfg.threads, bucket));
-  if (warm != s.warm.end()) {
-    entry.controller = hpxlite::grain_controller::converged_at(warm->second);
-    entry.cache_seeded = true;
-  } else {
-    entry.controller = std::make_shared<hpxlite::grain_controller>();
-  }
-  if (cfg.tuner == tuner_mode::freeze) {
-    entry.controller->freeze();
-  }
-  s.entries.push_back(entry);
-  return entry.controller;
+  s.entries.push_back({loop, backend, cfg.threads, bucket,
+                       std::make_shared<hpxlite::grain_controller>()});
+  return s.entries.back().controller;
 }
 
 std::vector<entry_info> snapshot() {
@@ -120,10 +87,7 @@ std::vector<entry_info> snapshot() {
     info.bucket = e.bucket;
     info.chunk = e.controller->current_chunk();
     info.state = e.controller->current_state();
-    info.probe_feeds = e.controller->probe_feeds();
-    info.total_probe_feeds = e.controller->total_probe_feeds();
-    info.total_feeds = e.controller->total_feeds();
-    info.cache_seeded = e.cache_seeded;
+    info.total_feeds = e.controller->uses();
     out.push_back(std::move(info));
   }
   return out;
@@ -133,73 +97,6 @@ void reset() {
   auto& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);
   s.entries.clear();
-  s.warm.clear();
-}
-
-void notify_epoch_bump() {
-  auto& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  for (auto& e : s.entries) {
-    e.controller->reprobe();
-  }
-}
-
-bool load_cache(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return false;
-  }
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kCacheMagic ||
-      version != kCacheVersion) {
-    return false;
-  }
-  std::map<std::string, std::size_t> loaded;
-  std::string loop, backend;
-  unsigned threads = 0, bucket = 0;
-  std::size_t chunk = 0;
-  while (in >> loop >> backend >> threads >> bucket >> chunk) {
-    if (chunk == 0) {
-      continue;
-    }
-    loaded[key_of(loop, backend, threads, bucket)] = chunk;
-  }
-  auto& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  for (auto& kv : loaded) {
-    s.warm[kv.first] = kv.second;
-  }
-  return true;
-}
-
-bool save_cache(const std::string& path) {
-  auto& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  // Converged/frozen controllers override the table they were loaded
-  // from; never-acquired warm entries survive, so a run that touched
-  // only some loops doesn't erase the rest of the calibration.
-  std::map<std::string, std::size_t> merged = s.warm;
-  for (const auto& e : s.entries) {
-    const auto st = e.controller->current_state();
-    if (st == hpxlite::grain_controller::state::probing) {
-      continue;  // unconverged exploration state is not calibration
-    }
-    const std::size_t chunk = e.controller->current_chunk();
-    if (chunk == 0) {
-      continue;
-    }
-    merged[key_of(e.loop, e.backend, e.threads, e.bucket)] = chunk;
-  }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << kCacheMagic << ' ' << kCacheVersion << '\n';
-  for (const auto& kv : merged) {
-    out << kv.first << ' ' << kv.second << '\n';
-  }
-  return static_cast<bool>(out);
 }
 
 }  // namespace op2::tuner

@@ -148,7 +148,7 @@ std::vector<chunker_backend_param> chunker_backend_cases() {
   std::vector<chunker_backend_param> cases;
   for (const auto& backend : op2::backend_registry::names()) {
     for (const char* chunker :
-         {"auto", "static:4", "dynamic:8", "guided:2", "adaptive"}) {
+         {"auto", "static:4", "dynamic:8", "guided:2"}) {
       cases.push_back({backend, chunker});
     }
   }

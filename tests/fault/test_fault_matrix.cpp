@@ -93,6 +93,12 @@ std::string case_name(const ::testing::TestParamInfo<matrix_case>& info) {
   return info.param.backend + "_" + info.param.loop;
 }
 
+// gtest would otherwise print the raw bytes, heap pointers included, and
+// the printed parameter is part of the test's name.
+void PrintTo(const matrix_case& c, std::ostream* os) {
+  *os << c.backend << "/" << c.loop;
+}
+
 class FaultMatrix : public ::testing::TestWithParam<matrix_case> {
  protected:
   void TearDown() override {

@@ -227,7 +227,7 @@ TEST_F(FusedLoop, TilingAReductionChainThrows) {
 TEST_F(FusedLoop, TileSpecGrammar) {
   EXPECT_EQ(op2::parse_tile_spec(""), 0);
   EXPECT_EQ(op2::parse_tile_spec("off"), 0);
-  EXPECT_EQ(op2::parse_tile_spec("auto"), -1);
+  EXPECT_THROW(op2::parse_tile_spec("auto"), std::invalid_argument);
   EXPECT_EQ(op2::parse_tile_spec("4096"), 4096);
   EXPECT_THROW(op2::parse_tile_spec("0"), std::invalid_argument);
   EXPECT_THROW(op2::parse_tile_spec("-3"), std::invalid_argument);

@@ -1,10 +1,7 @@
-// grain_controller state machine, driven with synthetic timings so
-// every path is deterministic: seeding, the geometric hill-climb (up,
-// down, reversal), the hard convergence bound, drift re-probing,
-// freeze/reprobe/reset, the cache warm start, and the n-drift re-seed.
+// grain_controller: the one grain rule, max(1, n / (4 * workers)), and
+// the record it keeps of the chunk it handed out.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
 
 #include "hpxlite/grain_controller.hpp"
@@ -14,188 +11,38 @@ namespace {
 using hpxlite::grain_controller;
 using state = hpxlite::grain_controller::state;
 
-/// Drives the controller until it converges (or the feed budget runs
-/// out) against a synthetic cost model `seconds(chunk)`.
-template <typename Cost>
-std::size_t drive_to_convergence(grain_controller& c, std::size_t n,
-                                 unsigned workers, Cost cost,
-                                 int max_feeds = 64) {
-  for (int i = 0; i < max_feeds; ++i) {
-    if (c.current_state() == state::converged) {
-      break;
-    }
-    const std::size_t chunk = c.chunk(n, workers);
-    c.feed(cost(chunk));
-  }
-  return c.current_chunk();
-}
-
 TEST(GrainController, SeedsFromWorkersLikeReduceNormalisation) {
   grain_controller c;
+  EXPECT_EQ(c.current_state(), state::probing);  // nothing chosen yet
   // n / (4 * workers) = 1024 / 16 = 64.
   EXPECT_EQ(c.chunk(1024, 4), 64u);
-  EXPECT_EQ(c.current_state(), state::probing);
-}
-
-TEST(GrainController, ExplicitSeedChunkWins) {
-  grain_controller::options opt;
-  opt.seed_chunk = 10;
-  grain_controller c(opt);
-  EXPECT_EQ(c.chunk(1024, 4), 10u);
+  EXPECT_EQ(hpxlite::default_chunk(1024, 4), 64u);
+  EXPECT_EQ(c.current_state(), state::converged);
+  EXPECT_EQ(c.current_chunk(), 64u);
+  EXPECT_EQ(c.uses(), 1u);
 }
 
 TEST(GrainController, ChunkAlwaysInRangeEvenForTinySets) {
   grain_controller c;
-  EXPECT_EQ(c.chunk(0, 4), 1u);   // empty set: still a sane value
-  grain_controller c2;
-  EXPECT_EQ(c2.chunk(5, 4), 1u);  // 5/16 rounds to 0 -> clamped to 1
-  grain_controller c3;
-  EXPECT_EQ(c3.chunk(1, 8), 1u);
-}
-
-TEST(GrainController, ClimbsUpWhenLargerChunksAreFaster) {
-  grain_controller c;
-  const auto chunk = drive_to_convergence(
-      c, 1024, 4, [](std::size_t k) { return 1.0 / static_cast<double>(k); });
-  EXPECT_EQ(c.current_state(), state::converged);
-  EXPECT_EQ(chunk, 1024u);  // monotone cost: the ladder top wins
-  EXPECT_LE(c.probe_feeds(), 32u);
-}
-
-TEST(GrainController, ClimbsDownWhenSmallerChunksAreFaster) {
-  grain_controller c;
-  const auto chunk = drive_to_convergence(
-      c, 1024, 4, [](std::size_t k) { return static_cast<double>(k); });
-  EXPECT_EQ(c.current_state(), state::converged);
-  EXPECT_EQ(chunk, 1u);
-  EXPECT_LE(c.probe_feeds(), 32u);
-}
-
-TEST(GrainController, FindsAnInteriorOptimumOnTheLadder) {
-  grain_controller c;
-  // V-shaped in log2-space with the optimum at 16; the seed is 64, so
-  // the climb must go up once (worse), reverse, and walk down to 16.
-  const auto cost = [](std::size_t k) {
-    return 1.0 + std::fabs(std::log2(static_cast<double>(k)) - 4.0);
-  };
-  const auto chunk = drive_to_convergence(c, 1024, 4, cost);
-  EXPECT_EQ(c.current_state(), state::converged);
-  EXPECT_EQ(chunk, 16u);
-}
-
-TEST(GrainController, HardBoundConvergesEvenWhenSamplesNeverComplete) {
-  grain_controller::options opt;
-  opt.samples_per_candidate = 1000;  // the climb can never advance
-  grain_controller c(opt);
-  for (int i = 0; i < opt.max_probe_feeds; ++i) {
-    EXPECT_EQ(c.current_state(), state::probing) << "feed " << i;
-    c.chunk(1024, 4);
-    c.feed(1.0);
-  }
-  EXPECT_EQ(c.current_state(), state::converged);
-  EXPECT_EQ(c.probe_feeds(), 32u);
-}
-
-TEST(GrainController, DriftNeedsConsecutiveStrikesToReprobe) {
-  grain_controller c;
-  drive_to_convergence(c, 1024, 4,
-                       [](std::size_t) { return 1.0; });
-  ASSERT_EQ(c.current_state(), state::converged);
-  // Two regressed feeds with a good one in between: strikes reset.
-  c.feed(2.0);
-  c.feed(1.0);
-  c.feed(2.0);
-  c.feed(2.0);
-  EXPECT_EQ(c.current_state(), state::converged);
-  // Third consecutive regression: back to probing from the best chunk.
-  c.feed(2.0);
-  EXPECT_EQ(c.current_state(), state::probing);
-  EXPECT_EQ(c.probe_feeds(), 0u);  // fresh probing episode
-}
-
-TEST(GrainController, ConvergedBaselineRatchetsDown) {
-  grain_controller c;
-  drive_to_convergence(c, 1024, 4, [](std::size_t) { return 1.0; });
-  ASSERT_EQ(c.current_state(), state::converged);
-  // A faster run lowers the baseline: 1.1s regresses >15% vs 0.5s ...
-  c.feed(0.5);
-  c.feed(1.1);
-  c.feed(1.1);
-  c.feed(1.1);
-  EXPECT_EQ(c.current_state(), state::probing);
-}
-
-TEST(GrainController, FrozenIgnoresFeedAndReprobe) {
-  grain_controller c;
-  c.chunk(1024, 4);
-  c.freeze();
-  const auto chunk = c.current_chunk();
-  for (int i = 0; i < 40; ++i) {
-    c.feed(static_cast<double>(i));
-  }
-  c.reprobe();
-  EXPECT_EQ(c.current_state(), state::frozen);
-  EXPECT_EQ(c.current_chunk(), chunk);
-  EXPECT_EQ(c.total_probe_feeds(), 0u);
-  EXPECT_EQ(c.total_feeds(), 40u);  // feeds are counted, just unused
-}
-
-TEST(GrainController, ReprobeRestartsFromTheConvergedBest) {
-  grain_controller c;
-  drive_to_convergence(c, 1024, 4, [](std::size_t k) {
-    return 1.0 + std::fabs(std::log2(static_cast<double>(k)) - 4.0);
-  });
-  ASSERT_EQ(c.current_state(), state::converged);
-  ASSERT_EQ(c.current_chunk(), 16u);
-  c.reprobe();
-  EXPECT_EQ(c.current_state(), state::probing);
-  EXPECT_EQ(c.current_chunk(), 16u);  // probe resumes at the best
-  EXPECT_EQ(c.probe_feeds(), 0u);
-  // Same cost model: it re-converges to the same optimum.
-  drive_to_convergence(c, 1024, 4, [](std::size_t k) {
-    return 1.0 + std::fabs(std::log2(static_cast<double>(k)) - 4.0);
-  });
-  EXPECT_EQ(c.current_chunk(), 16u);
+  EXPECT_EQ(c.chunk(0, 4), 1u);  // empty set: still a sane value
+  EXPECT_EQ(c.chunk(5, 4), 1u);  // 5/16 rounds to 0 -> clamped to 1
+  EXPECT_EQ(c.chunk(1, 8), 1u);
+  EXPECT_EQ(c.chunk(7, 0), 1u);  // zero workers counts as one
 }
 
 TEST(GrainController, ResetForgetsEverything) {
   grain_controller c;
-  drive_to_convergence(c, 1024, 4, [](std::size_t) { return 1.0; });
+  c.chunk(1024, 4);
   c.reset();
   EXPECT_EQ(c.current_state(), state::probing);
   EXPECT_EQ(c.current_chunk(), 0u);
-  EXPECT_EQ(c.chunk(64, 4), 4u);  // re-seeds for the new shape
-}
-
-TEST(GrainController, ConvergedAtWarmStartDoesZeroExploration) {
-  auto c = grain_controller::converged_at(24);
-  EXPECT_EQ(c->current_state(), state::converged);
-  EXPECT_EQ(c->current_chunk(), 24u);
-  EXPECT_EQ(c->chunk(1024, 4), 24u);  // first meeting keeps the chunk
-  // Feeds establish a baseline and keep it converged — no probing.
-  for (int i = 0; i < 20; ++i) {
-    c->feed(1.0);
-  }
-  EXPECT_EQ(c->current_state(), state::converged);
-  EXPECT_EQ(c->total_probe_feeds(), 0u);
-}
-
-TEST(GrainController, NDriftBeyondHalfReseeds) {
-  grain_controller c;
-  ASSERT_EQ(c.chunk(1024, 4), 64u);
-  c.feed(1.0);
-  // Within +-50%: the ladder stands, the chunk only gets clamped.
-  EXPECT_EQ(c.chunk(900, 4), 64u);
-  // The set doubled: the learned grain partitions a different space.
-  EXPECT_EQ(c.chunk(2048, 4), 128u);  // fresh seed: 2048 / 16
-  EXPECT_EQ(c.current_state(), state::probing);
-  EXPECT_EQ(c.probe_feeds(), 0u);
+  EXPECT_EQ(c.uses(), 0u);
+  EXPECT_EQ(c.chunk(64, 4), 4u);
 }
 
 TEST(GrainController, ToStringNamesEveryState) {
   EXPECT_STREQ(hpxlite::to_string(state::probing), "probing");
   EXPECT_STREQ(hpxlite::to_string(state::converged), "converged");
-  EXPECT_STREQ(hpxlite::to_string(state::frozen), "frozen");
 }
 
 }  // namespace

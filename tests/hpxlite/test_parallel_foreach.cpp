@@ -9,11 +9,9 @@
 
 namespace {
 
-using hpxlite::adaptive_chunk_size;
 using hpxlite::auto_chunk_size;
 using hpxlite::chunk_spec;
 using hpxlite::dynamic_chunk_size;
-using hpxlite::grain_controller;
 using hpxlite::guided_chunk_size;
 using hpxlite::irange;
 using hpxlite::par;
@@ -267,9 +265,7 @@ INSTANTIATE_TEST_SUITE_P(
         chunk_spec(dynamic_chunk_size(13)),
         chunk_spec(dynamic_chunk_size(100000)),  // chunk > range
         chunk_spec(guided_chunk_size(4)),
-        chunk_spec(guided_chunk_size(100000)),   // min clamp > range
-        chunk_spec(adaptive_chunk_size{}),       // null controller fallback
-        chunk_spec(adaptive_chunk_size{std::make_shared<grain_controller>()})),
+        chunk_spec(guided_chunk_size(100000))),  // min clamp > range
     [](const ::testing::TestParamInfo<chunk_spec>& pinfo) {
       switch (pinfo.param.index()) {
         case 0:
@@ -283,15 +279,11 @@ INSTANTIATE_TEST_SUITE_P(
               std::get<hpxlite::dynamic_chunk_size>(pinfo.param).size;
           return "dynamic" + std::to_string(s);
         }
-        case 3: {
+        default: {
           const auto s =
               std::get<hpxlite::guided_chunk_size>(pinfo.param).min_size;
           return "guided" + std::to_string(s);
         }
-        default:
-          return std::get<adaptive_chunk_size>(pinfo.param).controller
-                     ? std::string("adaptive")
-                     : std::string("adaptiveNull");
       }
     });
 
@@ -324,26 +316,6 @@ TEST_F(ForEachTest, GuidedMinChunkClampsTheShrinkingGrabs) {
   for (int i = 0; i < n; ++i) {
     ASSERT_EQ(counts[static_cast<std::size_t>(i)].load(), 1);
   }
-}
-
-TEST_F(ForEachTest, AdaptiveChunkerFollowsItsController) {
-  // The controller converges on some chunk from fed times; for_each
-  // must keep visiting every element exactly once while it explores.
-  auto ctl = std::make_shared<grain_controller>();
-  constexpr int n = 2048;
-  for (int round = 0; round < 6; ++round) {
-    std::vector<std::atomic<int>> counts(n);
-    auto r = irange(0, n);
-    hpxlite::parallel::for_each(par.with(adaptive_chunk_size{ctl}),
-                                r.begin(), r.end(),
-                                [&](int i) { counts[static_cast<std::size_t>(i)].fetch_add(1); });
-    for (int i = 0; i < n; ++i) {
-      ASSERT_EQ(counts[static_cast<std::size_t>(i)].load(), 1)
-          << "round " << round;
-    }
-    ctl->feed(0.001 * (round + 1));  // owner-side feedback between runs
-  }
-  EXPECT_GE(ctl->total_feeds(), 6u);
 }
 
 }  // namespace

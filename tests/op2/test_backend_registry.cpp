@@ -157,16 +157,11 @@ TEST(BackendRegistry, DescribeChunkSpecs) {
   EXPECT_EQ(op2::describe(hpxlite::static_chunk_size(16)), "static:16");
   EXPECT_EQ(op2::describe(hpxlite::dynamic_chunk_size(4)), "dynamic:4");
   EXPECT_EQ(op2::describe(hpxlite::guided_chunk_size(2)), "guided:2");
-  EXPECT_EQ(op2::describe(hpxlite::adaptive_chunk_size{}), "adaptive");
-  auto ctl = hpxlite::grain_controller::converged_at(24);
-  EXPECT_EQ(op2::describe(hpxlite::adaptive_chunk_size{ctl}), "adaptive:24");
 }
 
 TEST(BackendRegistry, ParseChunkSpecGrammar) {
   EXPECT_TRUE(std::holds_alternative<hpxlite::auto_chunk_size>(
       op2::parse_chunk_spec("auto")));
-  EXPECT_TRUE(std::holds_alternative<hpxlite::adaptive_chunk_size>(
-      op2::parse_chunk_spec("adaptive")));
   const auto st = op2::parse_chunk_spec("static:16");
   EXPECT_EQ(std::get<hpxlite::static_chunk_size>(st).size, 16u);
   const auto dy = op2::parse_chunk_spec("dynamic:4");
@@ -175,7 +170,8 @@ TEST(BackendRegistry, ParseChunkSpecGrammar) {
   EXPECT_EQ(std::get<hpxlite::guided_chunk_size>(gu).min_size, 2u);
 
   for (const char* bad : {"", "bogus", "static", "static:", "static:0",
-                          "static:x", "static:4x", "dynamic:-1", "auto:1"}) {
+                          "static:x", "static:4x", "dynamic:-1", "auto:1",
+                          "adaptive"}) {
     EXPECT_THROW(op2::parse_chunk_spec(bad), std::invalid_argument) << bad;
   }
 }

@@ -1,19 +1,17 @@
-// The adaptive grain tuner's op2 calibration layer (`ctest -L tuner`):
+// The capture-time grain choice (`ctest -L tuner`):
 //   - key derivation (size buckets) and registry identity;
 //   - applicability: mode off, a non-chunk-honouring backend, and an
 //     explicit static/dynamic/guided chunker all leave loops untuned,
-//     while the auto default and an explicit "adaptive" opt in;
-//   - OP2_TUNER / OP2_TUNER_CACHE / OP2_CHUNK environment knobs;
-//   - freeze mode pins controllers;
-//   - the op_timing_output columns (chunk_chosen, tuner_state);
-//   - the calibration-cache round trip: a warmed second "process"
-//     starts converged and performs ZERO exploration replays.
+//     while the auto default opts in;
+//   - the chosen chunk: max(1, nblocks / (4 * workers)) for a direct
+//     loop, converged from the first dispatch and kept across a
+//     finalize()/init() cycle;
+//   - OP2_TUNER / OP2_CHUNK environment knobs;
+//   - the op_timing_output columns (chunk_chosen, tuner_state).
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -124,7 +122,7 @@ TEST_F(TunerTest, AutoChunkedHonoringBackendGetsTuned) {
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->backend, "hpx_foreach");
   EXPECT_EQ(e->threads, 2u);
-  EXPECT_GE(e->total_feeds, 4u);
+  EXPECT_EQ(e->total_feeds, 1u);  // chosen once, at capture
 }
 
 TEST_F(TunerTest, TunerOffLeavesLoopsUntuned) {
@@ -167,31 +165,85 @@ TEST_F(TunerTest, ExplicitChunkerStringsGateTheTuner) {
     EXPECT_FALSE(entry_of("gated_loop").has_value()) << chunker;
     op2::finalize();
   }
-  // "adaptive" is a direct request for the tuner; "auto" is its default
-  // replacement target.
-  for (const char* chunker : {"adaptive", "auto"}) {
-    tuner::reset();
-    auto cfg = tuned_config();
-    cfg.chunker = chunker;
-    op2::init(cfg);
-    auto m = make_line(64);
-    loop_handle h;
-    run_loop(m, h, "opted_in", 2);
-    EXPECT_TRUE(entry_of("opted_in").has_value()) << chunker;
-    op2::finalize();
-  }
-}
-
-TEST_F(TunerTest, FreezeModePinsControllers) {
-  op2::init(tuned_config(tuner_mode::freeze));
+  // An explicit "auto" is what the capture-time chunk replaces.
+  tuner::reset();
+  auto cfg = tuned_config();
+  cfg.chunker = "auto";
+  op2::init(cfg);
   auto m = make_line(64);
   loop_handle h;
-  run_loop(m, h, "frozen_loop", 6);
-  const auto e = entry_of("frozen_loop");
+  run_loop(m, h, "opted_in", 2);
+  EXPECT_TRUE(entry_of("opted_in").has_value());
+  op2::finalize();
+}
+
+// ---------------------------------------------------------------------
+// The chosen chunk.
+// ---------------------------------------------------------------------
+
+TEST_F(TunerTest, SiteDispatchedOncePerCallIsConvergedAfterItsFirstDispatch) {
+  // Like the first iteration's standalone save_soln: one dispatch per
+  // driver call must already run with its final chunk.
+  op2::init(tuned_config());
+  auto m = make_line(4096);
+  loop_handle h;
+  run_loop(m, h, "once_per_call", 1);
+  const auto e = entry_of("once_per_call");
   ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->state, ctl_state::frozen);
-  EXPECT_EQ(e->total_probe_feeds, 0u);  // feeds flow, exploration doesn't
-  EXPECT_GE(e->total_feeds, 6u);
+  EXPECT_EQ(e->state, ctl_state::converged);
+  EXPECT_GT(e->chunk, 0u);
+  EXPECT_EQ(e->probe_feeds, 0u);
+  EXPECT_EQ(e->total_probe_feeds, 0u);
+}
+
+TEST_F(TunerTest, FinalizeAndInitKeepTheChunkConverged) {
+  op2::init(tuned_config());
+  auto m = make_line(4096);
+  loop_handle h;
+  run_loop(m, h, "across_epochs", 40);
+  const auto before = entry_of("across_epochs");
+  ASSERT_TRUE(before.has_value());
+  op2::finalize();
+  auto e = entry_of("across_epochs");
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->state, ctl_state::converged);  // no re-probe on finalize
+  op2::init(tuned_config());
+  run_loop(m, h, "across_epochs", 1);  // recaptured under the new epoch
+  e = entry_of("across_epochs");
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->state, ctl_state::converged);
+  EXPECT_EQ(e->chunk, before->chunk);
+  EXPECT_EQ(e->total_probe_feeds, 0u);
+}
+
+TEST_F(TunerTest, DirectLoopChunkIsBlocksOverFourPerWorker) {
+  // 4096 elements in blocks of 16 = 256 blocks; a direct loop has one
+  // colour, so the chunk is 256 / (4 * workers) on either backend.
+  for (const char* backend : {"hpx_foreach", "forkjoin"}) {
+    for (const unsigned workers : {2u, 3u}) {
+      tuner::reset();
+      auto cfg = make_config(backend, workers, 16);
+      cfg.tuner = tuner_mode::on;
+      op2::init(cfg);
+      profiling::reset();
+      profiling::enable(true);
+      auto m = make_line(4096);
+      loop_handle h;
+      run_loop(m, h, "direct_rule", 5);
+      const std::size_t want = std::max<std::size_t>(1, 256 / (4 * workers));
+      const auto e = entry_of("direct_rule");
+      ASSERT_TRUE(e.has_value()) << backend;
+      EXPECT_EQ(e->chunk, want) << backend << " x" << workers;
+      EXPECT_EQ(e->state, ctl_state::converged) << backend;
+      // The executor really ran with it: the profile names the chunk.
+      EXPECT_EQ(profile_of("direct_rule").chunk,
+                "static:" + std::to_string(want))
+          << backend << " x" << workers;
+      profiling::enable(false);
+      profiling::reset();
+      op2::finalize();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -202,33 +254,31 @@ TEST(TunerEnv, Op2TunerKnobParses) {
   ::setenv("OP2_TUNER", "off", 1);
   op2::init(make_config("seq", 1));
   EXPECT_EQ(current_config().tuner, tuner_mode::off);
-  ::setenv("OP2_TUNER", "freeze", 1);
-  op2::init(make_config("seq", 1));
-  EXPECT_EQ(current_config().tuner, tuner_mode::freeze);
   ::setenv("OP2_TUNER", "on", 1);
   op2::init(make_config("seq", 1));
   EXPECT_EQ(current_config().tuner, tuner_mode::on);
-  ::setenv("OP2_TUNER", "sometimes", 1);
-  EXPECT_THROW(op2::init(make_config("seq", 1)), std::invalid_argument);
+  for (const char* bad : {"sometimes", "freeze"}) {
+    ::setenv("OP2_TUNER", bad, 1);
+    EXPECT_THROW(op2::init(make_config("seq", 1)), std::invalid_argument)
+        << bad;
+  }
   ::unsetenv("OP2_TUNER");
   op2::finalize();
 }
 
-TEST(TunerEnv, Op2TunerCacheAndChunkKnobs) {
-  ::setenv("OP2_TUNER_CACHE", "/tmp/op2_tuner_env_knob.txt", 1);
+TEST(TunerEnv, Op2ChunkKnobParses) {
   ::setenv("OP2_CHUNK", "static:8", 1);
   op2::init(make_config("seq", 1));
-  EXPECT_EQ(current_config().tuner_cache, "/tmp/op2_tuner_env_knob.txt");
   EXPECT_EQ(current_config().chunker, "static:8");
-  ::unsetenv("OP2_TUNER_CACHE");
   // An invalid chunk grammar fails at init, not at first launch.
   ::setenv("OP2_CHUNK", "bogus", 1);
   EXPECT_THROW(op2::init(make_config("seq", 1)), std::invalid_argument);
   ::setenv("OP2_CHUNK", "static:x", 1);
   EXPECT_THROW(op2::init(make_config("seq", 1)), std::invalid_argument);
+  ::setenv("OP2_CHUNK", "adaptive", 1);
+  EXPECT_THROW(op2::init(make_config("seq", 1)), std::invalid_argument);
   ::unsetenv("OP2_CHUNK");
   op2::finalize();
-  std::remove("/tmp/op2_tuner_env_knob.txt");
 }
 
 // ---------------------------------------------------------------------
@@ -266,89 +316,6 @@ TEST_F(TunerTest, UntunedLoopShowsDashColumns) {
   EXPECT_TRUE(p.tuner_state.empty());
   profiling::enable(false);
   profiling::reset();
-}
-
-// ---------------------------------------------------------------------
-// Calibration cache.
-// ---------------------------------------------------------------------
-
-TEST(TunerCache, LoadRejectsMissingAndMismatchedFiles) {
-  EXPECT_FALSE(tuner::load_cache("/nonexistent/op2_tuner_cache.txt"));
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "op2_tuner_badmagic.txt")
-          .string();
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "notop2tuner 1\nl b 2 6 4\n";
-  }
-  EXPECT_FALSE(tuner::load_cache(path));
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "op2tuner 999\nl b 2 6 4\n";
-  }
-  EXPECT_FALSE(tuner::load_cache(path));
-  std::remove(path.c_str());
-}
-
-TEST_F(TunerTest, CacheRoundTripWarmRunDoesZeroExploration) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "op2_tuner_roundtrip.txt")
-          .string();
-  std::remove(path.c_str());
-
-  // --- first "process": explore, converge, persist -------------------
-  auto cfg = tuned_config();
-  cfg.tuner_cache = path;
-  op2::init(cfg);
-  {
-    auto m = make_line(64);
-    loop_handle h;
-    run_loop(m, h, "cache_rt", 3);
-    // Drive the controller to convergence deterministically: the hard
-    // probe bound guarantees it locks within max_probe_feeds feeds.
-    auto ctl = tuner::acquire("cache_rt", 64);
-    for (int i = 0; i < 64 && ctl->current_state() != ctl_state::converged;
-         ++i) {
-      ctl->feed(1.0);
-    }
-    ASSERT_EQ(ctl->current_state(), ctl_state::converged);
-    EXPECT_GT(ctl->total_probe_feeds(), 0u);  // this run DID explore
-  }
-  op2::finalize();  // saves the cache before the epoch-bump reprobe
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "finalize did not write " << path;
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "op2tuner 1");
-  std::string body((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_NE(body.find("cache_rt hpx_foreach 2 6 "), std::string::npos)
-      << body;
-
-  // --- second "process": warm start, zero exploration -----------------
-  tuner::reset();
-  op2::init(cfg);  // loads the cache
-  profiling::reset();
-  profiling::enable(true);
-  {
-    auto m = make_line(64);
-    loop_handle h;
-    run_loop(m, h, "cache_rt", 3);
-  }
-  const auto e = entry_of("cache_rt");
-  ASSERT_TRUE(e.has_value());
-  EXPECT_TRUE(e->cache_seeded);
-  EXPECT_EQ(e->state, ctl_state::converged);
-  EXPECT_EQ(e->total_probe_feeds, 0u);  // zero probe/exploration replays
-  EXPECT_GE(e->total_feeds, 3u);        // drift watch still fed
-  // The profiling columns agree: the loop ran converged from replay one.
-  const auto p = profile_of("cache_rt");
-  EXPECT_EQ(p.tuner_state, "converged");
-  EXPECT_GT(p.chunk_chosen, 0u);
-  profiling::enable(false);
-  profiling::reset();
-  std::remove(path.c_str());
 }
 
 }  // namespace
