@@ -3,18 +3,20 @@
 // imbalance, and the largest halo.  The substrate quality of OP2's
 // distributed mode (not benchmarked in the paper, which is single node;
 // included for completeness of the reproduced system).
+#include <algorithm>
 #include <cstdio>
-#include <vector>
 
 #include "airfoil/mesh.hpp"
 #include "op2/op2.hpp"
 
 namespace {
 
-std::size_t max_halo(const std::vector<std::vector<int>>& halos) {
-  std::size_t m = 0;
-  for (const auto& h : halos) {
-    m = std::max(m, h.size());
+/// Largest halo of a depth-1 owner/halo decomposition of the cells.
+int max_halo(const op2::partitioning& cells, const op2::op_map& pecell) {
+  int m = 0;
+  for (const auto& part :
+       op2::build_halo_partition(cells, pecell, 1).shards) {
+    m = std::max(m, part.halo_count());
   }
   return m;
 }
@@ -25,19 +27,9 @@ int main() {
   std::printf("\n=== Ablation: partitioning quality (RCB vs block) ===\n");
   auto mesh = airfoil::generate_mesh({400, 100});
   const auto& pecell = mesh.map("pecell");
-  const auto& pcell = mesh.map("pcell");
-  const auto x = mesh.dat("p_x").data<double>();
   const int ncell = mesh.set("cells").size();
   const int nedge = mesh.set("edges").size();
-
-  std::vector<double> centroids(static_cast<std::size_t>(ncell) * 2, 0.0);
-  for (int c = 0; c < ncell; ++c) {
-    for (int k = 0; k < 4; ++k) {
-      const auto n = static_cast<std::size_t>(pcell.at(c, k));
-      centroids[static_cast<std::size_t>(2 * c)] += 0.25 * x[2 * n];
-      centroids[static_cast<std::size_t>(2 * c + 1)] += 0.25 * x[2 * n + 1];
-    }
-  }
+  const auto centroids = airfoil::cell_centroids(mesh);
 
   std::printf("%d cells, %d edges\n", ncell, nedge);
   std::printf("%8s | %12s %10s %10s | %12s %10s %10s\n", "parts",
@@ -46,28 +38,10 @@ int main() {
   for (const int nparts : {2, 4, 8, 16, 32}) {
     const auto rcb = op2::partition_rcb(centroids, nparts);
     const auto blk = op2::partition_block(ncell, nparts);
-
-    // Edge ownership: first adjacent cell (owner computes).
-    const auto edge_parts_for = [&](const op2::partitioning& cells) {
-      op2::partitioning ep;
-      ep.nparts = nparts;
-      ep.part_of.resize(static_cast<std::size_t>(nedge));
-      for (int e = 0; e < nedge; ++e) {
-        ep.part_of[static_cast<std::size_t>(e)] =
-            cells.part_of[static_cast<std::size_t>(pecell.at(e, 0))];
-      }
-      return ep;
-    };
-
-    const auto rcb_halos =
-        op2::build_halos(pecell, edge_parts_for(rcb), rcb);
-    const auto blk_halos =
-        op2::build_halos(pecell, edge_parts_for(blk), blk);
-
-    std::printf("%8d | %12d %10.3f %10zu | %12d %10.3f %10zu\n", nparts,
+    std::printf("%8d | %12d %10.3f %10d | %12d %10.3f %10d\n", nparts,
                 op2::edge_cut(pecell, rcb), op2::imbalance(rcb),
-                max_halo(rcb_halos), op2::edge_cut(pecell, blk),
-                op2::imbalance(blk), max_halo(blk_halos));
+                max_halo(rcb, pecell), op2::edge_cut(pecell, blk),
+                op2::imbalance(blk), max_halo(blk, pecell));
   }
   std::printf("\nexpected: RCB cut grows ~sqrt(parts); block partitioning "
               "cuts whole mesh rows, larger halos at high part counts\n");

@@ -141,12 +141,14 @@ cmake --build "$tsan_build" -j "$jobs" --target test_service test_chaos
 "$tsan_build/tests/test_service" --gtest_filter='ServiceStress.*'
 "$tsan_build/tests/test_chaos" --gtest_filter='ChaosServiceStress.*'
 
-step "thread sanitizer: halo-exchange progress engine (ExchangeStress)"
-# Concurrent fence waiters racing the exchanger's progress thread across
-# hundreds of rounds, plus mid-round destruction — the pack/publish/
-# consume/scatter hand-off and the fence fast path under TSan.
+step "thread sanitizer: the whole shard suite (test_shard)"
+# Every shard test under TSan: the owner/halo decomposition, concurrent
+# fence waiters racing the exchanger's progress thread across hundreds
+# of rounds plus mid-round destruction (the pack/publish/consume/scatter
+# hand-off and the fence fast path), and the sharded Airfoil driver's
+# shard tasks, bit-identity matrix, chaos healing and service jobs.
 cmake --build "$tsan_build" -j "$jobs" --target test_shard
-"$tsan_build/tests/test_shard" --gtest_filter='ExchangeStress.*'
+"$tsan_build/tests/test_shard"
 
 step "thread sanitizer: reliable wire protocol (WireStress)"
 # Two links published/consumed from racing threads while the pump

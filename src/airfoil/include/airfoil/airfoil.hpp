@@ -2,9 +2,9 @@
 #pragma once
 
 #include "airfoil/constants.hpp"
-#include "airfoil/distributed.hpp"
 #include "airfoil/kernels.hpp"
 #include "airfoil/mesh.hpp"
 #include "airfoil/resilience.hpp"
+#include "airfoil/sharded.hpp"
 #include "airfoil/solver.hpp"
 #include "airfoil/state_io.hpp"

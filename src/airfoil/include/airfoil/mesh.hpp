@@ -16,6 +16,8 @@
 // edges orient the normal outward.
 #pragma once
 
+#include <vector>
+
 #include "op2/mesh_io.hpp"
 
 namespace airfoil {
@@ -41,5 +43,11 @@ op2::mesh generate_mesh(const mesh_params& params);
 /// aspect ratio — used by the weak-scaling harness, which grows the
 /// problem with the thread count.
 op2::mesh generate_mesh_with_cells(int target_cells);
+
+/// Cell centroids (x, y interleaved, 2 per cell): the mean of each
+/// cell's four `pcell` corners in `p_x`, summed in corner order, so the
+/// coordinates (and the RCB decomposition built on them) are
+/// bit-reproducible.
+std::vector<double> cell_centroids(const op2::mesh& m);
 
 }  // namespace airfoil

@@ -5,7 +5,7 @@
 // that overlaps interior computation.  This is the single-process
 // rehearsal of the paper's full-scale MPI+HPX execution shape.
 //
-// Scheme (vs. airfoil/distributed.hpp, the memcpy-MPI model):
+// Scheme (cells decomposed by op2::build_halo_partition over pecell):
 //
 //   cells   partitioned by RCB over centroids; local order is
 //           [owned, ascending global id | halo, ascending], so the

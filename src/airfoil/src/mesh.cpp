@@ -166,4 +166,20 @@ op2::mesh generate_mesh_with_cells(int target_cells) {
   return generate_mesh(p);
 }
 
+std::vector<double> cell_centroids(const op2::mesh& m) {
+  const auto& pcell = m.map("pcell");
+  const auto x = m.dat("p_x").data<double>();
+  const int ncell = m.set("cells").size();
+  std::vector<double> centroids(static_cast<std::size_t>(ncell) * 2, 0.0);
+  for (int c = 0; c < ncell; ++c) {
+    for (int k = 0; k < 4; ++k) {
+      const auto node = static_cast<std::size_t>(pcell.at(c, k));
+      centroids[static_cast<std::size_t>(2 * c)] += 0.25 * x[2 * node];
+      centroids[static_cast<std::size_t>(2 * c + 1)] +=
+          0.25 * x[2 * node + 1];
+    }
+  }
+  return centroids;
+}
+
 }  // namespace airfoil

@@ -218,18 +218,9 @@ shard_sim make_shard_sim(const op2::mesh& m, int nshards, int halo_depth) {
   const int nedge = m.set("edges").size();
   const int nbedge = m.set("bedges").size();
 
-  // RCB over cell centroids — identical to make_dist_sim, and
-  // deterministic across platforms (id tie-break, op2/partition.hpp).
-  std::vector<double> centroids(static_cast<std::size_t>(ncell) * 2, 0.0);
-  for (int c = 0; c < ncell; ++c) {
-    for (int k = 0; k < 4; ++k) {
-      const auto node = static_cast<std::size_t>(pcell.at(c, k));
-      centroids[static_cast<std::size_t>(2 * c)] += 0.25 * x[2 * node];
-      centroids[static_cast<std::size_t>(2 * c + 1)] +=
-          0.25 * x[2 * node + 1];
-    }
-  }
-  const auto parts = op2::partition_rcb(centroids, nshards);
+  // RCB over cell centroids, deterministic across platforms (id
+  // tie-break, op2/partition.hpp).
+  const auto parts = op2::partition_rcb(cell_centroids(m), nshards);
 
   shard_sim d;
   d.global_cells = ncell;
@@ -305,7 +296,7 @@ shard_sim make_shard_sim(const op2::mesh& m, int nshards, int halo_depth) {
       return part.local_of[static_cast<std::size_t>(c)];
     };
 
-    // Assemble the local op2 mesh (the distributed.cpp idiom).
+    // Assemble the local op2 mesh.
     op2::mesh lm;
     lm.sets.emplace("nodes", op2::op_decl_set(
                                  static_cast<int>(my_nodes.size()), "nodes"));

@@ -4,8 +4,9 @@
 // conjunction with MPI").  The paper's evaluation is single-node, so
 // partitioning is not benchmarked against it, but a credible OP2
 // reproduction ships it: geometric recursive coordinate bisection,
-// partition quality metrics, partition-grouping renumbering, and halo
-// (ghost-element) construction.
+// partition quality metrics and partition-grouping renumbering.  The
+// owner/halo decomposition built on a partitioning is
+// op2::build_halo_partition (op2/shard.hpp).
 //
 // Determinism invariant: every function in this header is a PURE
 // function of its arguments — no RNG, no iteration over unordered
@@ -56,13 +57,5 @@ double imbalance(const partitioning& parts);
 /// relative order inside each part — the renumbering that makes each
 /// part's data contiguous.
 std::vector<int> partition_order(const partitioning& parts);
-
-/// Halo lists: for each part, the foreign elements of `m.to()` that
-/// rows owned by that part (per `row_parts`) reference.  Sorted,
-/// deduplicated.  halo[p] never contains elements owned by p (per
-/// `target_parts`).
-std::vector<std::vector<int>> build_halos(const op_map& m,
-                                          const partitioning& row_parts,
-                                          const partitioning& target_parts);
 
 }  // namespace op2

@@ -158,35 +158,4 @@ std::vector<int> partition_order(const partitioning& parts) {
   return perm;
 }
 
-std::vector<std::vector<int>> build_halos(const op_map& m,
-                                          const partitioning& row_parts,
-                                          const partitioning& target_parts) {
-  if (row_parts.size() != m.from().size()) {
-    throw std::invalid_argument(
-        "build_halos: row partitioning does not cover the source set");
-  }
-  if (target_parts.size() != m.to().size()) {
-    throw std::invalid_argument(
-        "build_halos: target partitioning does not cover the target set");
-  }
-  std::vector<std::vector<int>> halos(
-      static_cast<std::size_t>(row_parts.nparts));
-  for (int e = 0; e < m.from().size(); ++e) {
-    const auto owner =
-        static_cast<std::size_t>(row_parts.part_of[static_cast<std::size_t>(e)]);
-    for (int j = 0; j < m.dim(); ++j) {
-      const int target = m.at(e, j);
-      if (target_parts.part_of[static_cast<std::size_t>(target)] !=
-          static_cast<int>(owner)) {
-        halos[owner].push_back(target);
-      }
-    }
-  }
-  for (auto& h : halos) {
-    std::sort(h.begin(), h.end());
-    h.erase(std::unique(h.begin(), h.end()), h.end());
-  }
-  return halos;
-}
-
 }  // namespace op2

@@ -115,6 +115,12 @@ struct chunker_backend_param {
   std::string chunker;
 };
 
+// Without this gtest prints the raw struct bytes (heap pointers
+// included) into the test names, which then change from run to run.
+void PrintTo(const chunker_backend_param& p, std::ostream* os) {
+  *os << p.backend << "/" << p.chunker;
+}
+
 class ChunkerBackendMatrix
     : public ::testing::TestWithParam<chunker_backend_param> {};
 

@@ -124,6 +124,45 @@ std::string shard_count_name(const ::testing::TestParamInfo<int>& p) {
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardMatrix, ::testing::Values(1, 2, 4),
                          shard_count_name);
 
+// --- driver entry points ----------------------------------------------
+
+class ShardSim : public ::testing::Test {
+ protected:
+  void SetUp() override { op2::init(op2::make_config("seq", 1, 32)); }
+  void TearDown() override { op2::finalize(); }
+};
+
+TEST_F(ShardSim, ZeroShardsRejected) {
+  EXPECT_THROW(airfoil::make_shard_sim(generate_mesh(small_mesh()), 0),
+               std::invalid_argument);
+}
+
+TEST_F(ShardSim, ScatterRejectsAWronglySizedField) {
+  const auto mesh = generate_mesh(small_mesh());
+  auto d = airfoil::make_shard_sim(mesh, 2);
+  const std::vector<double> q(
+      static_cast<std::size_t>(mesh.set("cells").size()) * 4 - 1, 1.0);
+  EXPECT_THROW(airfoil::scatter_q(d, q), std::invalid_argument);
+}
+
+TEST_F(ShardSim, GatherOfScatterReturnsTheFieldBitForBit) {
+  const auto mesh = generate_mesh(small_mesh());
+  std::vector<double> q(
+      static_cast<std::size_t>(mesh.set("cells").size()) * 4);
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    q[i] = std::sin(0.37 * static_cast<double>(i)) / 3.0;
+  }
+  for (const int nshards : {1, 3}) {
+    auto d = airfoil::make_shard_sim(mesh, nshards);
+    airfoil::scatter_q(d, q);
+    const auto back = airfoil::gather_q(d);
+    ASSERT_EQ(back.size(), q.size()) << nshards << " shards";
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      ASSERT_EQ(back[i], q[i]) << nshards << " shards, entry " << i;
+    }
+  }
+}
+
 // --- chaos ------------------------------------------------------------
 
 class ShardChaos : public ::testing::Test {

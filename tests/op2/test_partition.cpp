@@ -164,56 +164,4 @@ TEST(PartitionOrder, GroupsByPartStably) {
   EXPECT_EQ(perm[4], 5);
 }
 
-TEST(Halos, ChainAcrossTwoParts) {
-  // Edges 0..9 over nodes 0..10; rows and targets split at the middle:
-  // only the boundary-crossing rows need ghosts.
-  const int nedge = 10;
-  auto edges = op_decl_set(nedge, "edges");
-  auto nodes = op_decl_set(nedge + 1, "nodes");
-  std::vector<int> table;
-  for (int e = 0; e < nedge; ++e) {
-    table.push_back(e);
-    table.push_back(e + 1);
-  }
-  auto e2n = op_decl_map(edges, nodes, 2, table, "e2n");
-
-  partitioning rows;
-  rows.nparts = 2;
-  rows.part_of.assign(static_cast<std::size_t>(nedge), 0);
-  for (int e = 5; e < nedge; ++e) {
-    rows.part_of[static_cast<std::size_t>(e)] = 1;
-  }
-  partitioning targets;
-  targets.nparts = 2;
-  targets.part_of.assign(static_cast<std::size_t>(nedge + 1), 0);
-  for (int n = 6; n <= nedge; ++n) {
-    targets.part_of[static_cast<std::size_t>(n)] = 1;
-  }
-
-  const auto halos = build_halos(e2n, rows, targets);
-  ASSERT_EQ(halos.size(), 2u);
-  // Part 0 owns edges 0-4 touching nodes 0-5, all owned by part 0:
-  // no ghosts.
-  EXPECT_TRUE(halos[0].empty());
-  // Part 1 owns edges 5-9 touching nodes 5-10; node 5 belongs to part
-  // 0 -> exactly one ghost.
-  EXPECT_EQ(halos[1], (std::vector<int>{5}));
-}
-
-TEST(Halos, NoGhostsWhenAligned) {
-  const int n = 8;
-  auto from = op_decl_set(n, "from");
-  auto to = op_decl_set(n, "to");
-  std::vector<int> table(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    table[static_cast<std::size_t>(i)] = i;
-  }
-  auto m = op_decl_map(from, to, 1, table, "identity");
-  const auto rows = partition_block(n, 2);
-  const auto halos = build_halos(m, rows, rows);
-  for (const auto& h : halos) {
-    EXPECT_TRUE(h.empty());
-  }
-}
-
 }  // namespace
