@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "airfoil/loops.hpp"
 #include "figure_common.hpp"
 
 namespace {
@@ -19,61 +20,27 @@ struct loop_times {
   double total() const { return save + adt + res + bres + update; }
 };
 
-/// Measures each loop by running the solver with per-loop timing: we
-/// time the five loops of one classic iteration directly.
+/// Times each of the five loops of a classic iteration, launched from
+/// the Airfoil loop table one by one.
 loop_times measure_real(airfoil::sim& s, int iters) {
   using clock = std::chrono::steady_clock;
-  using namespace op2;
+  namespace loops = airfoil::loops;
+  const loops::dats<op2::op_dat> d(s);
   loop_times t;
-  const auto span = [](clock::time_point a) {
-    return std::chrono::duration<double, std::milli>(clock::now() - a)
-        .count();
+  const auto timed = [](double& acc, auto&& launch) {
+    const auto t0 = clock::now();
+    launch();
+    acc += std::chrono::duration<double, std::milli>(clock::now() - t0)
+               .count();
   };
   for (int iter = 0; iter < iters; ++iter) {
-    auto t0 = clock::now();
-    op_par_loop(airfoil::save_soln, "save_soln", s.cells,
-                op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-                op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_WRITE));
-    t.save += span(t0);
+    timed(t.save, [&] { loops::save_soln(d).run(); });
     double rms = 0.0;
     for (int k = 0; k < 2; ++k) {
-      t0 = clock::now();
-      op_par_loop(airfoil::adt_calc, "adt_calc", s.cells,
-                  op_arg_dat<double>(s.p_x, 0, s.pcell, 2, OP_READ),
-                  op_arg_dat<double>(s.p_x, 1, s.pcell, 2, OP_READ),
-                  op_arg_dat<double>(s.p_x, 2, s.pcell, 2, OP_READ),
-                  op_arg_dat<double>(s.p_x, 3, s.pcell, 2, OP_READ),
-                  op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-                  op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_WRITE));
-      t.adt += span(t0);
-      t0 = clock::now();
-      op_par_loop(airfoil::res_calc, "res_calc", s.edges,
-                  op_arg_dat<double>(s.p_x, 0, s.pedge, 2, OP_READ),
-                  op_arg_dat<double>(s.p_x, 1, s.pedge, 2, OP_READ),
-                  op_arg_dat<double>(s.p_q, 0, s.pecell, 4, OP_READ),
-                  op_arg_dat<double>(s.p_q, 1, s.pecell, 4, OP_READ),
-                  op_arg_dat<double>(s.p_adt, 0, s.pecell, 1, OP_READ),
-                  op_arg_dat<double>(s.p_adt, 1, s.pecell, 1, OP_READ),
-                  op_arg_dat<double>(s.p_res, 0, s.pecell, 4, OP_INC),
-                  op_arg_dat<double>(s.p_res, 1, s.pecell, 4, OP_INC));
-      t.res += span(t0);
-      t0 = clock::now();
-      op_par_loop(airfoil::bres_calc, "bres_calc", s.bedges,
-                  op_arg_dat<double>(s.p_x, 0, s.pbedge, 2, OP_READ),
-                  op_arg_dat<double>(s.p_x, 1, s.pbedge, 2, OP_READ),
-                  op_arg_dat<double>(s.p_q, 0, s.pbecell, 4, OP_READ),
-                  op_arg_dat<double>(s.p_adt, 0, s.pbecell, 1, OP_READ),
-                  op_arg_dat<double>(s.p_res, 0, s.pbecell, 4, OP_INC),
-                  op_arg_dat<int>(s.p_bound, -1, OP_ID, 1, OP_READ));
-      t.bres += span(t0);
-      t0 = clock::now();
-      op_par_loop(airfoil::update, "update", s.cells,
-                  op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_READ),
-                  op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_WRITE),
-                  op_arg_dat<double>(s.p_res, -1, OP_ID, 4, OP_RW),
-                  op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_READ),
-                  op_arg_gbl<double>(&rms, 1, OP_INC));
-      t.update += span(t0);
+      timed(t.adt, [&] { loops::adt_calc(d).run(); });
+      timed(t.res, [&] { loops::res_calc(d).run(); });
+      timed(t.bres, [&] { loops::bres_calc(d).run(); });
+      timed(t.update, [&] { loops::update(d, &rms).run(); });
     }
   }
   return t;

@@ -25,6 +25,11 @@
 // every loop of the sharded Airfoil driver has) must also replay with
 // zero heap allocations and zero plan-cache lookups once warm.
 //
+// A fifth arm runs the whole Airfoil solver on seq (60x30 mesh): once
+// warm, an extra iteration of run_classic or of the service's run_job
+// (each loop launched from the airfoil loop table) must cost zero heap
+// allocations.
+//
 // scripts/check.sh runs this binary; a non-zero exit fails the gate.
 // Output is human-readable ns/loop so regressions are quantifiable.
 #include <array>
@@ -37,6 +42,8 @@
 #include <utility>
 #include <vector>
 
+#include "airfoil/job.hpp"
+#include "airfoil/solver.hpp"
 #include "hpxlite/dataflow.hpp"
 #include "hpxlite/future.hpp"
 #include "op2/op2.hpp"
@@ -266,6 +273,29 @@ chain_result run_oversize_chain(int rounds) {
   return r;
 }
 
+// --- Airfoil arm ---------------------------------------------------------
+// Each call's fixed setup (the rms history, the job's output) cancels in
+// the difference between a short and a long warm run, leaving what the
+// extra iterations allocated.
+
+constexpr int kAirfoilShort = 2;
+constexpr int kAirfoilExtra = 8;
+
+/// Heap allocations of `run(kAirfoilShort + kAirfoilExtra)` beyond those
+/// of `run(kAirfoilShort)`, after one warm-up run captures every loop.
+template <typename Run>
+std::uint64_t extra_iteration_allocs(Run&& run) {
+  run(kAirfoilShort);
+  const std::uint64_t a0 = alloc_count();
+  run(kAirfoilShort);
+  const std::uint64_t a1 = alloc_count();
+  run(kAirfoilShort + kAirfoilExtra);
+  const std::uint64_t a2 = alloc_count();
+  const std::uint64_t short_run = a1 - a0;
+  const std::uint64_t long_run = a2 - a1;
+  return long_run > short_run ? long_run - short_run : 0;
+}
+
 }  // namespace
 
 int main() {
@@ -416,7 +446,42 @@ int main() {
   std::printf("  %-28s %12llu\n", "shard replay plan lookups",
               static_cast<unsigned long long>(shard_lookups));
 
+  // --- Airfoil solver: zero allocations per extra warm iteration -------
+  op2::init(op2::make_config("seq", 1));
+  constexpr int kImax = 60;
+  constexpr int kJmax = 30;
+  std::uint64_t classic_allocs = 0;
+  std::uint64_t job_allocs = 0;
+  {
+    auto sim = airfoil::make_sim(airfoil::generate_mesh({kImax, kJmax}));
+    classic_allocs = extra_iteration_allocs(
+        [&](int niter) { airfoil::run_classic(sim, niter); });
+    airfoil::job_workspace ws;
+    job_allocs = extra_iteration_allocs([&](int niter) {
+      airfoil::job_params jp;
+      jp.imax = kImax;
+      jp.jmax = kJmax;
+      jp.niter = niter;
+      airfoil::run_job(jp, ws, hpxlite::stop_token{});
+    });
+  }
+  std::printf("  %-28s %12llu (over %d extra iterations, seq %dx%d)\n",
+              "run_classic allocations",
+              static_cast<unsigned long long>(classic_allocs), kAirfoilExtra,
+              kImax, kJmax);
+  std::printf("  %-28s %12llu (over %d extra iterations, seq %dx%d)\n",
+              "run_job allocations",
+              static_cast<unsigned long long>(job_allocs), kAirfoilExtra,
+              kImax, kJmax);
+
   int rc = 0;
+  if (classic_allocs != 0) {
+    rc = fail("warm run_classic heap-allocates per extra iteration",
+              classic_allocs);
+  }
+  if (job_allocs != 0) {
+    rc = fail("warm run_job heap-allocates per extra iteration", job_allocs);
+  }
   if (replay_allocs != 0) {
     rc = fail("steady-state replay heap-allocates", replay_allocs);
   }

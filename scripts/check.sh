@@ -48,6 +48,16 @@ ctest --test-dir "$build" -L fusion --output-on-failure
 step "reliable wire: ctest -L wire (frame codec, chaos, retransmit, link death)"
 ctest --test-dir "$build" -L wire --output-on-failure
 
+step "timing-dependent tests: ctest -L cancel / -L wire, each test up to 40 runs"
+# Cancellation and wire tests race completion against cancels, drops
+# and retransmits, so a rare interleaving can fail one run in hundreds.
+# Repeating each test until it fails surfaces such flakes here instead
+# of in a later, unrelated change (about 40 s on a 4-core VM).
+ctest --test-dir "$build" -L cancel -j "$jobs" --repeat until-fail:40 \
+    --output-on-failure
+ctest --test-dir "$build" -L wire -j "$jobs" --repeat until-fail:40 \
+    --output-on-failure
+
 step "job service: bench_service soak (writes BENCH_service.json)"
 # A short multi-tenant soak through the admission controller: hard-fails
 # when everything was shed or p99 job latency blew up — either means

@@ -3,6 +3,7 @@
 
 #include "airfoil/constants.hpp"
 #include "airfoil/kernels.hpp"
+#include "airfoil/loops.hpp"
 #include "airfoil/mesh.hpp"
 #include "airfoil/resilience.hpp"
 #include "airfoil/sharded.hpp"

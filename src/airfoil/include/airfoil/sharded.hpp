@@ -20,6 +20,10 @@
 //           so [0, interior_edges) is the exchange-independent span.
 //   bedges  owned by their cell's owner; never touch the halo.
 //
+// save_soln, adt_calc and update come from the loop table
+// (airfoil/loops.hpp) under per-shard names ("adt_calc@s3"), launched
+// inside the shard's window (op2::shard_scope).
+//
 // Bit-exactness: res_calc/bres_calc are replaced by their *_stage
 // flavours (airfoil/kernels.hpp), which write per-edge flux slots
 // instead of accumulating through the map.  A serial apply pass per

@@ -14,7 +14,10 @@
 //
 // Each iteration performs save_soln then two RK-like stages of
 // adt_calc / res_calc / bres_calc / update, exactly as the original
-// benchmark does; `rms` is the convergence monitor.
+// benchmark does; `rms` is the convergence monitor.  The loops' kernels,
+// names, sets and argument lists live once in the loop table
+// (airfoil/loops.hpp); a driver adds only its launch verb and where it
+// waits.
 #pragma once
 
 #include <string>

@@ -3,17 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "airfoil/kernels.hpp"
+#include "airfoil/loops.hpp"
 
 namespace airfoil {
-
-using op2::op_arg_dat;
-using op2::op_arg_gbl;
-using op2::OP_ID;
-using op2::OP_INC;
-using op2::OP_READ;
-using op2::OP_RW;
-using op2::OP_WRITE;
 
 namespace {
 
@@ -48,54 +40,20 @@ job_output run_job(const job_params& params, job_workspace& workspace,
 
   job_output out;
   double rms = 0.0;
+  const loops::dats<op2::op_dat> d(s);
+  auto& session = workspace.session;
   for (int iter = 0; iter < params.niter; ++iter) {
     check_stop(stop);
-
-    op2::op_par_loop(workspace.session.handle("save_soln"), save_soln,
-                     "save_soln", s.cells,
-                     op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-                     op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_WRITE));
+    loops::save_soln(d).run(session.handle("save_soln"));
     out.loops += 1;
 
     for (int k = 0; k < 2; ++k) {
       check_stop(stop);
       rms = 0.0;
-      op2::op_par_loop(workspace.session.handle("adt_calc"), adt_calc,
-                       "adt_calc", s.cells,
-                       op_arg_dat<double>(s.p_x, 0, s.pcell, 2, OP_READ),
-                       op_arg_dat<double>(s.p_x, 1, s.pcell, 2, OP_READ),
-                       op_arg_dat<double>(s.p_x, 2, s.pcell, 2, OP_READ),
-                       op_arg_dat<double>(s.p_x, 3, s.pcell, 2, OP_READ),
-                       op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-                       op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_WRITE));
-
-      op2::op_par_loop(workspace.session.handle("res_calc"), res_calc,
-                       "res_calc", s.edges,
-                       op_arg_dat<double>(s.p_x, 0, s.pedge, 2, OP_READ),
-                       op_arg_dat<double>(s.p_x, 1, s.pedge, 2, OP_READ),
-                       op_arg_dat<double>(s.p_q, 0, s.pecell, 4, OP_READ),
-                       op_arg_dat<double>(s.p_q, 1, s.pecell, 4, OP_READ),
-                       op_arg_dat<double>(s.p_adt, 0, s.pecell, 1, OP_READ),
-                       op_arg_dat<double>(s.p_adt, 1, s.pecell, 1, OP_READ),
-                       op_arg_dat<double>(s.p_res, 0, s.pecell, 4, OP_INC),
-                       op_arg_dat<double>(s.p_res, 1, s.pecell, 4, OP_INC));
-
-      op2::op_par_loop(workspace.session.handle("bres_calc"), bres_calc,
-                       "bres_calc", s.bedges,
-                       op_arg_dat<double>(s.p_x, 0, s.pbedge, 2, OP_READ),
-                       op_arg_dat<double>(s.p_x, 1, s.pbedge, 2, OP_READ),
-                       op_arg_dat<double>(s.p_q, 0, s.pbecell, 4, OP_READ),
-                       op_arg_dat<double>(s.p_adt, 0, s.pbecell, 1, OP_READ),
-                       op_arg_dat<double>(s.p_res, 0, s.pbecell, 4, OP_INC),
-                       op_arg_dat<int>(s.p_bound, -1, OP_ID, 1, OP_READ));
-
-      op2::op_par_loop(workspace.session.handle("update"), update, "update",
-                       s.cells,
-                       op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_READ),
-                       op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_WRITE),
-                       op_arg_dat<double>(s.p_res, -1, OP_ID, 4, OP_RW),
-                       op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_READ),
-                       op_arg_gbl<double>(&rms, 1, OP_INC));
+      loops::adt_calc(d).run(session.handle("adt_calc"));
+      loops::res_calc(d).run(session.handle("res_calc"));
+      loops::bres_calc(d).run(session.handle("bres_calc"));
+      loops::update(d, &rms).run(session.handle("update"));
       out.loops += 4;
     }
     out.iterations = iter + 1;

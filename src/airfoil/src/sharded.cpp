@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "airfoil/kernels.hpp"
+#include "airfoil/loops.hpp"
 #include "hpxlite/async.hpp"
 #include "op2/runtime.hpp"
 
@@ -80,11 +81,8 @@ void apply_bres_stage(shard_domain& sh) {
 void run_stage(shard_sim& d, shard_domain& sh, bool with_save,
                bool fuse_next_save) {
   using op2::op_arg_dat;
-  using op2::op_arg_gbl;
   using op2::OP_ID;
-  using op2::OP_INC;
   using op2::OP_READ;
-  using op2::OP_RW;
   using op2::OP_WRITE;
 
   auto& s = sh.local;
@@ -107,24 +105,17 @@ void run_stage(shard_sim& d, shard_domain& sh, bool with_save,
   const op2::shard_context bedges_ctx{true, sh.shard, nlocal_bedges,
                                       nlocal_bedges, nullptr};
 
+  const loops::dats<op2::op_dat> ld(s);
   if (with_save) {
     op2::shard_scope scope(owned_ctx);
-    op2::op_par_loop(save_soln, sh.n_save.c_str(), s.cells,
-                     op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-                     op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_WRITE));
+    loops::save_soln(ld, sh.n_save.c_str()).run();
   }
   {
     // Redundant adt compute on halo cells (the suffix) replaces an adt
     // exchange — adt is a pure function of x and the freshly-exchanged
     // q, so the replica is bit-identical to the owner's.
     op2::shard_scope scope(cells_ctx);
-    op2::op_par_loop(adt_calc, sh.n_adt.c_str(), s.cells,
-                     op_arg_dat<double>(s.p_x, 0, s.pcell, 2, OP_READ),
-                     op_arg_dat<double>(s.p_x, 1, s.pcell, 2, OP_READ),
-                     op_arg_dat<double>(s.p_x, 2, s.pcell, 2, OP_READ),
-                     op_arg_dat<double>(s.p_x, 3, s.pcell, 2, OP_READ),
-                     op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-                     op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_WRITE));
+    loops::adt_calc(ld, sh.n_adt.c_str()).run();
   }
   {
     // Direct OP_WRITE into the per-edge stage slots: conflict-free, so
@@ -164,24 +155,10 @@ void run_stage(shard_sim& d, shard_domain& sh, bool with_save,
       static op2::fused_handle h_fused;
       op2::op_par_loop_fused(
           h_fused, s.cells,
-          op2::fuse_loop(
-              update, sh.n_update.c_str(),
-              op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_READ),
-              op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_WRITE),
-              op_arg_dat<double>(s.p_res, -1, OP_ID, 4, OP_RW),
-              op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_READ),
-              op_arg_gbl<double>(&sh.rms, 1, OP_INC)),
-          op2::fuse_loop(
-              save_soln, sh.n_save.c_str(),
-              op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-              op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_WRITE)));
+          loops::update(ld, &sh.rms, sh.n_update.c_str()).member(),
+          loops::save_soln(ld, sh.n_save.c_str()).member());
     } else {
-      op2::op_par_loop(update, sh.n_update.c_str(), s.cells,
-                       op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_READ),
-                       op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_WRITE),
-                       op_arg_dat<double>(s.p_res, -1, OP_ID, 4, OP_RW),
-                       op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_READ),
-                       op_arg_gbl<double>(&sh.rms, 1, OP_INC));
+      loops::update(ld, &sh.rms, sh.n_update.c_str()).run();
     }
   }
 }
@@ -370,15 +347,10 @@ shard_sim make_shard_sim(const op2::mesh& m, int nshards, int halo_depth) {
 
     sh.local = make_sim(std::move(lm));
 
-    const std::vector<double> zero_edges(
-        static_cast<std::size_t>(nledge) * 8, 0.0);
-    sh.p_res_stage = op2::op_decl_dat<double>(
-        sh.local.edges, 8, "double", std::span<const double>(zero_edges),
-        "p_res_stage");
-    const std::vector<double> zero_bedges(sh.global_bedge.size() * 4, 0.0);
-    sh.p_bres_stage = op2::op_decl_dat<double>(
-        sh.local.bedges, 4, "double", std::span<const double>(zero_bedges),
-        "p_bres_stage");
+    sh.p_res_stage =
+        op2::op_decl_dat<double>(sh.local.edges, 8, "double", "p_res_stage");
+    sh.p_bres_stage = op2::op_decl_dat<double>(sh.local.bedges, 4, "double",
+                                               "p_bres_stage");
 
     const std::string tag = "@s" + std::to_string(r);
     sh.n_save = "save_soln" + tag;

@@ -3,20 +3,11 @@
 #include <chrono>
 #include <cmath>
 
-#include "airfoil/kernels.hpp"
+#include "airfoil/constants.hpp"
+#include "airfoil/loops.hpp"
 #include "airfoil/sharded.hpp"
 
 namespace airfoil {
-
-using op2::op_arg_dat;
-using op2::op_arg_dat1;
-using op2::op_arg_gbl;
-using op2::op_arg_gbl1;
-using op2::OP_ID;
-using op2::OP_INC;
-using op2::OP_READ;
-using op2::OP_RW;
-using op2::OP_WRITE;
 
 sim make_sim(op2::mesh m) {
   sim s;
@@ -63,6 +54,11 @@ double finish_rms(double rms, int ncell) {
   return std::sqrt(rms / static_cast<double>(ncell));
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -84,79 +80,37 @@ run_result run_classic(sim& s, int niter) {
   run_result out;
   out.rms_history.reserve(static_cast<std::size_t>(niter));
   const auto t0 = std::chrono::steady_clock::now();
+  const loops::dats<op2::op_dat> d(s);
 
   for (int iter = 0; iter < niter; ++iter) {
     if (iter == 0) {
       static op2::loop_handle h_save;
-      op2::op_par_loop(h_save, save_soln, "save_soln", s.cells,
-                       op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-                       op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_WRITE));
+      loops::save_soln(d).run(h_save);
     }
 
     double rms = 0.0;
     for (int k = 0; k < 2; ++k) {
       rms = 0.0;
-      static op2::loop_handle h_adt;
-      op2::op_par_loop(h_adt, adt_calc, "adt_calc", s.cells,
-                       op_arg_dat<double>(s.p_x, 0, s.pcell, 2, OP_READ),
-                       op_arg_dat<double>(s.p_x, 1, s.pcell, 2, OP_READ),
-                       op_arg_dat<double>(s.p_x, 2, s.pcell, 2, OP_READ),
-                       op_arg_dat<double>(s.p_x, 3, s.pcell, 2, OP_READ),
-                       op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-                       op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_WRITE));
-
-      static op2::loop_handle h_res;
-      op2::op_par_loop(h_res, res_calc, "res_calc", s.edges,
-                       op_arg_dat<double>(s.p_x, 0, s.pedge, 2, OP_READ),
-                       op_arg_dat<double>(s.p_x, 1, s.pedge, 2, OP_READ),
-                       op_arg_dat<double>(s.p_q, 0, s.pecell, 4, OP_READ),
-                       op_arg_dat<double>(s.p_q, 1, s.pecell, 4, OP_READ),
-                       op_arg_dat<double>(s.p_adt, 0, s.pecell, 1, OP_READ),
-                       op_arg_dat<double>(s.p_adt, 1, s.pecell, 1, OP_READ),
-                       op_arg_dat<double>(s.p_res, 0, s.pecell, 4, OP_INC),
-                       op_arg_dat<double>(s.p_res, 1, s.pecell, 4, OP_INC));
-
-      static op2::loop_handle h_bres;
-      op2::op_par_loop(h_bres, bres_calc, "bres_calc", s.bedges,
-                       op_arg_dat<double>(s.p_x, 0, s.pbedge, 2, OP_READ),
-                       op_arg_dat<double>(s.p_x, 1, s.pbedge, 2, OP_READ),
-                       op_arg_dat<double>(s.p_q, 0, s.pbecell, 4, OP_READ),
-                       op_arg_dat<double>(s.p_adt, 0, s.pbecell, 1, OP_READ),
-                       op_arg_dat<double>(s.p_res, 0, s.pbecell, 4, OP_INC),
-                       op_arg_dat<int>(s.p_bound, -1, OP_ID, 1, OP_READ));
+      static op2::loop_handle h_adt, h_res, h_bres;
+      loops::adt_calc(d).run(h_adt);
+      loops::res_calc(d).run(h_res);
+      loops::bres_calc(d).run(h_bres);
 
       if (k == 1 && iter + 1 < niter) {
         // update + next iteration's save_soln, one traversal of cells.
         static op2::fused_handle h_fused;
-        op2::op_par_loop_fused(
-            h_fused, s.cells,
-            op2::fuse_loop(
-                update, "update",
-                op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_READ),
-                op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_WRITE),
-                op_arg_dat<double>(s.p_res, -1, OP_ID, 4, OP_RW),
-                op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_READ),
-                op_arg_gbl<double>(&rms, 1, OP_INC)),
-            op2::fuse_loop(
-                save_soln, "save_soln",
-                op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-                op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_WRITE)));
+        op2::op_par_loop_fused(h_fused, s.cells,
+                               loops::update(d, &rms).member(),
+                               loops::save_soln(d).member());
       } else {
         static op2::loop_handle h_update;
-        op2::op_par_loop(h_update, update, "update", s.cells,
-                         op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_READ),
-                         op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_WRITE),
-                         op_arg_dat<double>(s.p_res, -1, OP_ID, 4, OP_RW),
-                         op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_READ),
-                         op_arg_gbl<double>(&rms, 1, OP_INC));
+        loops::update(d, &rms).run(h_update);
       }
     }
     out.rms_history.push_back(finish_rms(rms, s.cells.size()));
   }
 
-  out.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+  out.seconds = seconds_since(t0);
   return out;
 }
 
@@ -169,6 +123,7 @@ run_result run_async(sim& s, int niter) {
   run_result out;
   out.rms_history.reserve(static_cast<std::size_t>(niter));
   const auto t0 = std::chrono::steady_clock::now();
+  const loops::dats<op2::op_dat> d(s);
 
   // Iteration 0's save_soln is the only standalone one (see
   // run_classic): later saves run fused with the previous iteration's
@@ -183,52 +138,24 @@ run_result run_async(sim& s, int niter) {
       // nothing in stage k=0 before update needs qold, so it overlaps
       // with adt_calc and the flux loops.
       static op2::loop_handle h_save;
-      f_save = op2::op_par_loop_async(
-          h_save, save_soln, "save_soln", s.cells,
-          op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-          op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_WRITE));
+      f_save = loops::save_soln(d).run_async(h_save);
     }
 
     double rms = 0.0;
     for (int k = 0; k < 2; ++k) {
       rms = 0.0;
       // new_data2: adt_calc — indirect loop via for_each(par(task)).
-      static op2::loop_handle h_adt;
-      auto f_adt = op2::op_par_loop_async(
-          h_adt, adt_calc, "adt_calc", s.cells,
-          op_arg_dat<double>(s.p_x, 0, s.pcell, 2, OP_READ),
-          op_arg_dat<double>(s.p_x, 1, s.pcell, 2, OP_READ),
-          op_arg_dat<double>(s.p_x, 2, s.pcell, 2, OP_READ),
-          op_arg_dat<double>(s.p_x, 3, s.pcell, 2, OP_READ),
-          op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-          op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_WRITE));
+      static op2::loop_handle h_adt, h_res, h_bres;
+      auto f_adt = loops::adt_calc(d).run_async(h_adt);
       f_adt.get();  // res_calc reads p_adt (Fig 10's new_data2.get())
 
-      static op2::loop_handle h_res;
-      auto f_res = op2::op_par_loop_async(
-          h_res, res_calc, "res_calc", s.edges,
-          op_arg_dat<double>(s.p_x, 0, s.pedge, 2, OP_READ),
-          op_arg_dat<double>(s.p_x, 1, s.pedge, 2, OP_READ),
-          op_arg_dat<double>(s.p_q, 0, s.pecell, 4, OP_READ),
-          op_arg_dat<double>(s.p_q, 1, s.pecell, 4, OP_READ),
-          op_arg_dat<double>(s.p_adt, 0, s.pecell, 1, OP_READ),
-          op_arg_dat<double>(s.p_adt, 1, s.pecell, 1, OP_READ),
-          op_arg_dat<double>(s.p_res, 0, s.pecell, 4, OP_INC),
-          op_arg_dat<double>(s.p_res, 1, s.pecell, 4, OP_INC));
+      auto f_res = loops::res_calc(d).run_async(h_res);
       // bres_calc also increments p_res: unlike the paper's Fig 10 we
       // serialise the two flux loops (launching both concurrently races
       // on the boundary cells' residuals).
       f_res.get();
 
-      static op2::loop_handle h_bres;
-      auto f_bres = op2::op_par_loop_async(
-          h_bres, bres_calc, "bres_calc", s.bedges,
-          op_arg_dat<double>(s.p_x, 0, s.pbedge, 2, OP_READ),
-          op_arg_dat<double>(s.p_x, 1, s.pbedge, 2, OP_READ),
-          op_arg_dat<double>(s.p_q, 0, s.pbecell, 4, OP_READ),
-          op_arg_dat<double>(s.p_adt, 0, s.pbecell, 1, OP_READ),
-          op_arg_dat<double>(s.p_res, 0, s.pbecell, 4, OP_INC),
-          op_arg_dat<int>(s.p_bound, -1, OP_ID, 1, OP_READ));
+      auto f_bres = loops::bres_calc(d).run_async(h_bres);
       f_bres.get();
       if (k == 0 && iter == 0) {
         f_save.get();  // update reads p_qold (Fig 10's new_data1.get())
@@ -238,37 +165,19 @@ run_result run_async(sim& s, int niter) {
         // Fused update + next iteration's save_soln, synchronous: the
         // unfused variant's f_update.get() was immediate anyway.
         static op2::fused_handle h_fused;
-        op2::op_par_loop_fused(
-            h_fused, s.cells,
-            op2::fuse_loop(
-                update, "update",
-                op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_READ),
-                op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_WRITE),
-                op_arg_dat<double>(s.p_res, -1, OP_ID, 4, OP_RW),
-                op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_READ),
-                op_arg_gbl<double>(&rms, 1, OP_INC)),
-            op2::fuse_loop(
-                save_soln, "save_soln",
-                op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_READ),
-                op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_WRITE)));
+        op2::op_par_loop_fused(h_fused, s.cells,
+                               loops::update(d, &rms).member(),
+                               loops::save_soln(d).member());
       } else {
         static op2::loop_handle h_update;
-        auto f_update = op2::op_par_loop_async(
-            h_update, update, "update", s.cells,
-            op_arg_dat<double>(s.p_qold, -1, OP_ID, 4, OP_READ),
-            op_arg_dat<double>(s.p_q, -1, OP_ID, 4, OP_WRITE),
-            op_arg_dat<double>(s.p_res, -1, OP_ID, 4, OP_RW),
-            op_arg_dat<double>(s.p_adt, -1, OP_ID, 1, OP_READ),
-            op_arg_gbl<double>(&rms, 1, OP_INC));
+        auto f_update = loops::update(d, &rms).run_async(h_update);
         f_update.get();  // next adt_calc reads p_q; rms needed below
       }
     }
     out.rms_history.push_back(finish_rms(rms, s.cells.size()));
   }
 
-  out.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+  out.seconds = seconds_since(t0);
   return out;
 }
 
@@ -283,9 +192,8 @@ run_result run_dataflow(sim& s, int niter) {
   run_result out;
   out.rms_history.reserve(static_cast<std::size_t>(niter));
   const auto t0 = std::chrono::steady_clock::now();
-
-  op2::op_dat_df q(s.p_q), qold(s.p_qold), adt(s.p_adt), res(s.p_res);
-  op2::op_dat_df x(s.p_x), bound(s.p_bound);
+  // op_dat_df handles: every launch from the table is a dataflow node.
+  const loops::dats<op2::op_dat_df> d(s);
 
   // One rms accumulator per (iteration, stage): the paper's data[t]
   // pattern applied to the reduction target.
@@ -298,62 +206,22 @@ run_result run_dataflow(sim& s, int niter) {
     // stage-1 update node (one dataflow node, one op-state, one fire
     // for both loops — see the fused submission below).
     if (iter == 0) {
-      op2::op_par_loop(save_soln, "save_soln", s.cells,
-                       op_arg_dat1<double>(q, -1, OP_ID, 4, OP_READ),
-                       op_arg_dat1<double>(qold, -1, OP_ID, 4, OP_WRITE));
+      loops::save_soln(d).run();
     }
 
     for (int k = 0; k < 2; ++k) {
-      op2::op_par_loop(adt_calc, "adt_calc", s.cells,
-                       op_arg_dat1<double>(x, 0, s.pcell, 2, OP_READ),
-                       op_arg_dat1<double>(x, 1, s.pcell, 2, OP_READ),
-                       op_arg_dat1<double>(x, 2, s.pcell, 2, OP_READ),
-                       op_arg_dat1<double>(x, 3, s.pcell, 2, OP_READ),
-                       op_arg_dat1<double>(q, -1, OP_ID, 4, OP_READ),
-                       op_arg_dat1<double>(adt, -1, OP_ID, 1, OP_WRITE));
-
-      op2::op_par_loop(res_calc, "res_calc", s.edges,
-                       op_arg_dat1<double>(x, 0, s.pedge, 2, OP_READ),
-                       op_arg_dat1<double>(x, 1, s.pedge, 2, OP_READ),
-                       op_arg_dat1<double>(q, 0, s.pecell, 4, OP_READ),
-                       op_arg_dat1<double>(q, 1, s.pecell, 4, OP_READ),
-                       op_arg_dat1<double>(adt, 0, s.pecell, 1, OP_READ),
-                       op_arg_dat1<double>(adt, 1, s.pecell, 1, OP_READ),
-                       op_arg_dat1<double>(res, 0, s.pecell, 4, OP_INC),
-                       op_arg_dat1<double>(res, 1, s.pecell, 4, OP_INC));
-
-      op2::op_par_loop(bres_calc, "bres_calc", s.bedges,
-                       op_arg_dat1<double>(x, 0, s.pbedge, 2, OP_READ),
-                       op_arg_dat1<double>(x, 1, s.pbedge, 2, OP_READ),
-                       op_arg_dat1<double>(q, 0, s.pbecell, 4, OP_READ),
-                       op_arg_dat1<double>(adt, 0, s.pbecell, 1, OP_READ),
-                       op_arg_dat1<double>(res, 0, s.pbecell, 4, OP_INC),
-                       op_arg_dat1<int>(bound, -1, OP_ID, 1, OP_READ));
+      loops::adt_calc(d).run();
+      loops::res_calc(d).run();
+      loops::bres_calc(d).run();
 
       const auto slot = static_cast<std::size_t>(2 * iter + k);
       if (k == 1 && iter + 1 < niter) {
         static op2::fused_handle h_fused;
         stage_done[slot] = op2::op_par_loop_fused(
-            h_fused, s.cells,
-            op2::fuse_loop(
-                update, "update",
-                op_arg_dat1<double>(qold, -1, OP_ID, 4, OP_READ),
-                op_arg_dat1<double>(q, -1, OP_ID, 4, OP_WRITE),
-                op_arg_dat1<double>(res, -1, OP_ID, 4, OP_RW),
-                op_arg_dat1<double>(adt, -1, OP_ID, 1, OP_READ),
-                op_arg_gbl1<double>(&rms[slot], 1, OP_INC)),
-            op2::fuse_loop(
-                save_soln, "save_soln",
-                op_arg_dat1<double>(q, -1, OP_ID, 4, OP_READ),
-                op_arg_dat1<double>(qold, -1, OP_ID, 4, OP_WRITE)));
+            h_fused, s.cells, loops::update(d, &rms[slot]).member(),
+            loops::save_soln(d).member());
       } else {
-        stage_done[slot] = op2::op_par_loop(
-            update, "update", s.cells,
-            op_arg_dat1<double>(qold, -1, OP_ID, 4, OP_READ),
-            op_arg_dat1<double>(q, -1, OP_ID, 4, OP_WRITE),
-            op_arg_dat1<double>(res, -1, OP_ID, 4, OP_RW),
-            op_arg_dat1<double>(adt, -1, OP_ID, 1, OP_READ),
-            op_arg_gbl1<double>(&rms[slot], 1, OP_INC));
+        stage_done[slot] = loops::update(d, &rms[slot]).run();
       }
     }
   }
@@ -362,10 +230,10 @@ run_result run_dataflow(sim& s, int niter) {
   // (not wait()) so a loop that exhausted its failure_policy surfaces
   // its op2::loop_error here instead of vanishing into an abandoned
   // future.
-  q.get();
-  qold.get();
-  adt.get();
-  res.get();
+  d.q.get();
+  d.qold.get();
+  d.adt.get();
+  d.res.get();
   for (int iter = 0; iter < niter; ++iter) {
     const auto slot = static_cast<std::size_t>(2 * iter + 1);
     stage_done[slot].get();
@@ -373,9 +241,7 @@ run_result run_dataflow(sim& s, int niter) {
         finish_rms(rms[slot], s.cells.size()));
   }
 
-  out.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+  out.seconds = seconds_since(t0);
   return out;
 }
 

@@ -24,6 +24,7 @@
 
 #include <array>
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <tuple>
@@ -100,49 +101,88 @@ struct unwrapping_adaptor {
 template <typename F, typename... Ts>
 using dataflow_result_t = std::invoke_result_t<F&, std::decay_t<Ts>&&...>;
 
+/// A dataflow node's callable and its stored arguments.
+template <typename F, typename Tuple>
+struct node_body {
+  F fn;
+  Tuple args;
+};
+
+/// What a node body produced: its value (unit for void) or the
+/// exception it threw (operation_cancelled included).
+template <typename R>
+struct body_outcome {
+  std::optional<std::conditional_t<std::is_void_v<R>, unit, R>> value;
+  std::exception_ptr error;
+};
+
+/// Invokes the body, then destroys the callable and its arguments.
+/// Callers publish the outcome only afterwards, so a waiter woken by the
+/// publication finds every capture already released.
+template <typename R, typename Body>
+body_outcome<R> invoke_and_release(std::optional<Body>& body) {
+  body_outcome<R> out;
+  try {
+    if constexpr (std::is_void_v<R>) {
+      std::apply(body->fn, std::move(body->args));
+      out.value.emplace();
+    } else {
+      out.value.emplace(std::apply(body->fn, std::move(body->args)));
+    }
+  } catch (...) {
+    out.error = std::current_exception();
+  }
+  body.reset();
+  return out;
+}
+
 /// future<future<U>> collapses to future<U>; everything else maps to
 /// future<R> (R possibly void).
 template <typename R>
 struct unwrap_result {
   using type = future<R>;
-  template <typename State, typename F, typename Tuple>
-  static void fulfil(State& state, F& fn, Tuple& tup) {
-    fulfil_from_invoke(state, [&] { return std::apply(fn, std::move(tup)); });
+  template <typename State, typename Body>
+  static void fulfil(State& state, std::optional<Body>& body) {
+    auto out = invoke_and_release<R>(body);
+    if (out.error) {
+      // operation_cancelled too: set_stopped(e) is set_error(e).
+      state->set_error(std::move(out.error));
+    } else {
+      state->set_value(std::move(*out.value));
+    }
   }
 };
 
 template <typename U>
 struct unwrap_result<future<U>> {
   using type = future<U>;
-  template <typename State, typename F, typename Tuple>
-  static void fulfil(State& state, F& fn, Tuple& tup) {
-    try {
-      future<U> inner = std::apply(fn, std::move(tup));
-      if (!inner.valid()) {
-        throw no_state();
-      }
-      auto inner_state = inner.release_state();
-      inner_state->add_continuation(
-          [state, inner_state] {
-            try {
-              if constexpr (std::is_void_v<U>) {
-                inner_state->throw_if_exceptional();
-                state->set_value(unit{});
-              } else {
-                state->set_value(inner_state->take_value());
-              }
-            } catch (const operation_cancelled&) {
-              state->set_stopped(std::current_exception());
-            } catch (...) {
-              state->set_error(std::current_exception());
-            }
-          },
-          continuation_mode::inline_);
-    } catch (const operation_cancelled&) {
-      state->set_stopped(std::current_exception());
-    } catch (...) {
-      state->set_error(std::current_exception());
+  template <typename State, typename Body>
+  static void fulfil(State& state, std::optional<Body>& body) {
+    auto out = invoke_and_release<future<U>>(body);
+    if (!out.error && !out.value->valid()) {
+      out.error = std::make_exception_ptr(no_state());
     }
+    if (out.error) {
+      state->set_error(std::move(out.error));
+      return;
+    }
+    auto inner_state = out.value->release_state();
+    inner_state->add_continuation(
+        [state, inner_state] {
+          try {
+            if constexpr (std::is_void_v<U>) {
+              inner_state->throw_if_exceptional();
+              state->set_value(unit{});
+            } else {
+              state->set_value(inner_state->take_value());
+            }
+          } catch (const operation_cancelled&) {
+            state->set_stopped(std::current_exception());
+          } catch (...) {
+            state->set_error(std::current_exception());
+          }
+        },
+        continuation_mode::inline_);
   }
 };
 
@@ -177,9 +217,11 @@ struct dataflow_op final {
     }
   };
 
+  using body_t = node_body<F, std::tuple<std::decay_t<Ts>...>>;
+
   shared_state<V> result;
-  F fn;
-  std::tuple<std::decay_t<Ts>...> args;
+  // Destroyed as soon as the body has run (invoke_and_release).
+  std::optional<body_t> body;
   std::atomic<std::size_t> remaining{nfutures};
   launch policy;
   std::array<arm, nfutures == 0 ? 1 : nfutures> arms;
@@ -187,8 +229,8 @@ struct dataflow_op final {
 
   template <typename Fc, typename... Tc>
   dataflow_op(launch policy_, Fc&& f_, Tc&&... args_)
-      : fn(std::forward<Fc>(f_)),
-        args(std::forward<Tc>(args_)...),
+      : body(std::in_place, std::forward<Fc>(f_),
+             std::tuple<std::decay_t<Ts>...>(std::forward<Tc>(args_)...)),
         policy(policy_) {
     for (auto& a : arms) {
       a.owner = this;
@@ -247,7 +289,7 @@ struct dataflow_op final {
     // (no allocation — it shares the op's control block).
     shared_state_ptr<V> state(keep, &op->result);
     keep.reset();
-    unwrapper::fulfil(state, op->fn, op->args);
+    unwrapper::fulfil(state, op->body);
   }
 };
 
@@ -291,7 +333,7 @@ auto dataflow(launch policy, F&& f, Ts&&... args) ->
         arg.state()->add_continuation(&op->arms[idx++]);
       }
     };
-    std::apply([&](auto&... as) { (arm_one(as), ...); }, op->args);
+    std::apply([&](auto&... as) { (arm_one(as), ...); }, op->body->args);
   }
   return typename unwrapper::type(std::move(state));
 }
@@ -310,8 +352,8 @@ namespace detail {
 /// Fire-time cancellation guard for dataflow nodes: polls the token
 /// when the last input arrives, before the wrapped callable runs.  A
 /// requested stop resolves the node's future to operation_cancelled
-/// without invoking the callable (its kernel never runs) and the op
-/// state — closure, argument futures and all — is released right after.
+/// without invoking the callable (its kernel never runs); the closure
+/// and the argument futures are released before the future resolves.
 template <typename F>
 struct stop_guarded {
   stop_token stop;

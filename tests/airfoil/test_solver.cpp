@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "airfoil/airfoil.hpp"
+#include "airfoil/job.hpp"
 #include "airfoil/model_adapter.hpp"
 
 namespace {
@@ -183,6 +185,61 @@ TEST(AirfoilSolver, LongerRunStaysStable) {
       *std::max_element(r.rms_history.begin(), r.rms_history.begin() + 10);
   EXPECT_LT(r.rms_history.back(), early_peak);
 }
+
+// run_job (the service's Airfoil job) and run_classic launch the same
+// loop table; run_job differs only in its per-tenant handles and in not
+// fusing update with the next save_soln.  The flow field must agree bit
+// for bit; the rms reduction may reassociate on threaded backends.
+struct job_case {
+  const char* backend;
+  unsigned threads;
+};
+
+void PrintTo(const job_case& c, std::ostream* os) {
+  *os << c.backend << "_t" << c.threads;
+}
+
+class JobMatchesClassic : public ::testing::TestWithParam<job_case> {};
+
+TEST_P(JobMatchesClassic, SameFieldAsRunClassic) {
+  const auto& param = GetParam();
+  airfoil::job_params jp;
+  jp.imax = 30;
+  jp.jmax = 15;
+  jp.niter = 6;
+  jp.keep_solution = true;
+  op2::init(op2::make_config(param.backend, param.threads));
+  auto s = make_sim(generate_mesh({jp.imax, jp.jmax}));
+  const auto classic = run_classic(s, jp.niter);
+  const auto q = s.p_q.data<double>();
+  airfoil::job_output job;
+  {
+    airfoil::job_workspace ws;
+    job = airfoil::run_job(jp, ws, hpxlite::stop_token{});
+  }
+  op2::finalize();
+
+  EXPECT_EQ(job.iterations, jp.niter);
+  EXPECT_EQ(job.loops, static_cast<std::uint64_t>(9 * jp.niter));
+  ASSERT_EQ(job.solution.size(), q.size());
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    ASSERT_EQ(job.solution[i], q[i]) << "q entry " << i;
+  }
+  const double rms = classic.rms_history.back();
+  if (std::string(param.backend) == "seq") {
+    EXPECT_EQ(job.final_rms, rms);
+  } else {
+    EXPECT_NEAR(job.final_rms, rms, 1e-12 * std::max(1.0, std::fabs(rms)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, JobMatchesClassic,
+    ::testing::Values(job_case{"seq", 1}, job_case{"forkjoin", 3},
+                      job_case{"hpx_foreach", 3}),
+    [](const ::testing::TestParamInfo<job_case>& pinfo) {
+      return std::string(pinfo.param.backend);
+    });
 
 }  // namespace
 
